@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race alloc-gate bench bench-diff bench-smoke bench-gate sspcheck predecode-sweep fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
+.PHONY: check fmt vet test race alloc-gate perfbench-test bench bench-diff bench-smoke bench-gate sspcheck predecode-sweep fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
 
 # check is the full gate: formatting, vet, the test suite under the race
 # detector (the concurrent experiment engine is exercised by internal/exp's
@@ -77,6 +77,13 @@ cover:
 	$(GO) test -count=1 -coverprofile=.cover/cover.out -coverpkg=./... ./...
 	@total=$$($(GO) tool cover -func=.cover/cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	awk -v t=$$total 'BEGIN { if (t + 0 < 70) { printf "coverage %.1f%% is below the 70%% floor\n", t; exit 1 } printf "coverage %.1f%% (floor 70%%)\n", t }'
+
+# perfbench-test runs the repo benchmark's own unit tests: quantile, tail,
+# self-time and due-time arithmetic, and the metric catalog against
+# BENCHMARK.json. perfbench is a nested module, so the root `go test ./...`
+# does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 fmt:
 	@out="$$(gofmt -l .)"; \

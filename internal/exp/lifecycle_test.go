@@ -57,8 +57,9 @@ func TestPanickedRunDiscardsMachine(t *testing.T) {
 
 // cancelHook cancels a context after a set number of executed instructions,
 // making "cancelled mid-run" deterministic instead of a sleep race. The
-// direct Interrupt makes the stop land on the very next cycle; cancel()
-// first means the machine reports context.Canceled, not ErrInterrupted.
+// direct Interrupt makes the stop land within the engine's 64-cycle poll;
+// cancel() first means the machine reports context.Canceled, not
+// ErrInterrupted.
 type cancelHook struct {
 	cancel context.CancelFunc
 	left   int

@@ -21,6 +21,7 @@
 package decode
 
 import (
+	"fmt"
 	"sync"
 
 	"ssp/internal/ir"
@@ -152,6 +153,25 @@ type Decoded struct {
 	// walk; they alias the Program's shared backing arrays.
 	Uses []ir.Loc
 	Defs []ir.Loc
+}
+
+// MaxUses and MaxDefs bound every instruction's location sets: the widest
+// reader is a predicated fma (qp plus three FP sources), the widest writers
+// are compares and post-increment loads (two destinations). Predecode enforces
+// both, so fixed-size operand records — threaded.StepInfo and the OOO
+// window's per-source consumer edges — hold every instruction whole.
+const (
+	MaxUses = 4
+	MaxDefs = 2
+)
+
+// checkOperands reports an instruction whose location sets exceed MaxUses or
+// MaxDefs.
+func checkOperands(pc int, op ir.Op, nUses, nDefs int) error {
+	if nUses > MaxUses || nDefs > MaxDefs {
+		return fmt.Errorf("decode: %v at pc %d has %d uses and %d defs, bound is %d and %d", op, pc, nUses, nDefs, MaxUses, MaxDefs)
+	}
+	return nil
 }
 
 // Program is an immutable predecoded image.
@@ -300,7 +320,10 @@ func handlerOf(in *ir.Instr) Handler {
 }
 
 // Predecode lowers a linked image into its dense sidecar. The result is
-// immutable and safe for concurrent sharing.
+// immutable and safe for concurrent sharing. It panics on an instruction
+// whose location sets exceed MaxUses or MaxDefs: ir's operand forms never
+// produce one, so it can only mean an opcode was added without widening the
+// engines' fixed operand records.
 func Predecode(img *ir.Image) *Program {
 	code := make([]Decoded, len(img.Code))
 	// Two shared backing arrays keep every instruction's use/def sets on
@@ -315,6 +338,9 @@ func Predecode(img *ir.Image) *Program {
 		uses = in.AppendUses(uses)
 		d0 := len(defs)
 		defs = in.AppendDefs(defs)
+		if err := checkOperands(pc, in.Op, len(uses)-u0, len(defs)-d0); err != nil {
+			panic(err)
+		}
 		offs[pc] = [4]int{u0, len(uses), d0, len(defs)}
 	}
 	for pc := range img.Code {

@@ -20,9 +20,10 @@ package sim
 //   - every active thread's front-end stall expiry (frontStallUntil);
 //   - in-order: the ready cycle of the first unready source of the
 //     instruction each thread is blocked on (the scoreboard stall);
-//   - OOO: the completion (doneAt) of every issued-but-incomplete window
-//     record — completions drive retirement, wakeup, full-window drain,
-//     waitDrain drain, and blocked-branch resolution;
+//   - OOO: the earliest completion (doneAt) among each window's
+//     issued-but-incomplete records, the top of its completion heap —
+//     completions drive retirement, wakeup, full-window drain, waitDrain
+//     drain, and blocked-branch resolution;
 //   - the completion of any of the main thread's pending cache fills,
 //     because the Figure 10 category of a stalled cycle depends on the
 //     deepest *outstanding* fill (a jump across a fill completion could
@@ -98,7 +99,10 @@ func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
 // must have dispatch blocked and no issuable window record; the events are
 // the completions of issued-but-unfinished records plus front-stall
 // expiries. A thread with a data-ready unissued record vetoes the jump (it
-// only failed to issue because selection passed it over this cycle).
+// only failed to issue because selection passed it over this cycle). Both
+// facts are read from the window's event-driven state, not by walking it:
+// the wake cycle says whether anything in the reservation-station view is
+// ready, and the completion heap gives the next doneAt.
 func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 	if !m.ffEligible() {
 		return
@@ -119,35 +123,14 @@ func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 			w.full() || (w.waitDrain && w.size() > 0)) {
 			return
 		}
+		if w.wake <= m.now {
+			return
+		}
 		if t.frontStallUntil > m.now && t.frontStallUntil < next {
 			next = t.frontStallUntil
 		}
-		considered := 0
-		for a := w.headAbs; a < w.tailAbs; a++ {
-			r := w.at(a)
-			if r.issued {
-				if r.doneAt > m.now && r.doneAt < next {
-					next = r.doneAt
-				}
-				continue
-			}
-			if considered >= m.Cfg.RSSize {
-				// Outside the reservation-station view: not a wakeup
-				// candidate until older records issue, which the issued-
-				// record events already bound.
-				continue
-			}
-			considered++
-			ready := true
-			for si := 0; si < r.nsrc; si++ {
-				if !w.srcReady(r.srcs[si], m.now) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				return
-			}
+		if d := w.nextDone(m.now); d < next {
+			next = d
 		}
 	}
 	m.ffJump(main, s, next, eligible)

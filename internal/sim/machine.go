@@ -157,11 +157,9 @@ type Machine struct {
 	noSpec bool
 
 	// stop is the cancellation flag behind RunContext: an AfterFunc on the
-	// run's context sets it, and the engines poll it once per cycle-loop
-	// iteration (the same granularity as the watchdog check), so a
-	// cancelled run returns within one simulated cycle or one fast-forward
-	// hop. It costs runs without a cancellable context one predictable
-	// load-and-branch per cycle.
+	// run's context sets it, and both engines poll it on every 64th cycle,
+	// so a cancelled run returns within 64 simulated cycles plus at most one
+	// fast-forward hop. The poll costs one atomic load per 64 cycles.
 	stop atomic.Bool
 
 	mainDone bool
@@ -343,18 +341,18 @@ func (m *Machine) Run() (*Result, error) { return m.RunContext(context.Backgroun
 // context (if any) is still live — the interrupt, not the context, ended it.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
-// Interrupt asks a running machine to stop at its next cycle-loop iteration.
-// It is safe to call from any goroutine — including the machine's own hooks,
-// where it takes effect synchronously, before the next cycle. RunContext uses
-// it as the context's AfterFunc; direct callers without a cancelled context
-// get ErrInterrupted back from the run.
+// Interrupt asks a running machine to stop. The engines poll the request
+// every 64 cycles, so the run ends within 64 simulated cycles (plus at most
+// one fast-forward hop) of the call — also when a hook of the machine's own
+// makes it. It is safe to call from any goroutine. RunContext uses it as the
+// context's AfterFunc; direct callers without a cancelled context get
+// ErrInterrupted back from the run.
 func (m *Machine) Interrupt() { m.stop.Store(true) }
 
 // RunContext is Run under a context: when ctx is cancelled or its deadline
-// expires, the engine stops at the next cycle-loop iteration — within one
-// simulated cycle, or one fast-forward hop when the timing core is jumping —
-// and RunContext returns nil and ctx.Err() instead of running on to the
-// watchdog limit. A cancelled machine holds a half-finished run; Reset
+// expires, the engine stops within 64 simulated cycles (plus at most one
+// fast-forward hop when the timing core is jumping) and RunContext returns
+// nil and ctx.Err() instead of running on to the watchdog limit. A cancelled machine holds a half-finished run; Reset
 // restores it completely (the hot-path equivalence gate proves Reset equals
 // fresh construction), but pooling layers discard it anyway and only recycle
 // machines from clean completions.

@@ -7,14 +7,11 @@ import (
 )
 
 // wrec is one in-flight instruction in an OOO window. Records live inside the
-// window's ring buffer and refer to their sources by absolute dispatch index
-// rather than by pointer, so dispatching allocates nothing.
+// window's ring buffer and refer to each other by ring slot, so dispatching
+// allocates nothing.
 type wrec struct {
-	pc   int
-	fu   decode.FUClass
-	lat  int64
-	srcs [6]int64
-	nsrc int
+	fu  decode.FUClass
+	lat int64
 
 	issued bool
 	doneAt int64
@@ -22,7 +19,25 @@ type wrec struct {
 	memKind uint8
 	memAddr uint64
 	memID   int
+
+	// waiting counts the record's producers that have not issued yet, and
+	// readyAcc folds the doneAt of those that have; the record's slot in
+	// window.ready holds readyAcc once waiting reaches zero.
+	waiting  int32
+	readyAcc int64
+	// consumers heads this record's list of consumer edges: one edge per
+	// source operand of a younger record dispatched while this one was
+	// unissued. An edge is consumer slot*decode.MaxUses + source index
+	// (Predecode enforces the bound), and nextEdge[i] links the edge of
+	// source i into its producer's list, so the lists need no storage
+	// beyond the records.
+	consumers int32
+	nextEdge  [decode.MaxUses]int32
 }
+
+// notReady is the ready cycle of a record with an unissued producer, and
+// the wake cycle of a window whose reservation-station view is empty.
+const notReady = ffNoEvent
 
 // window is a per-thread reorder buffer: dispatch appends, issue picks
 // data-ready records among the oldest RSSize unissued ones, retirement pops
@@ -30,27 +45,47 @@ type wrec struct {
 //
 // Records are stored in a fixed power-of-two ring indexed by absolute
 // dispatch position: positions [headAbs, tailAbs) are live, and position a
-// lives at recs[a&mask]. A source or rename reference below headAbs points
-// at a retired record — retirement requires issued && doneAt <= now, so a
-// retired producer is always satisfied and the reference needs no storage to
-// prove it.
+// lives at recs[a&mask]. A rename reference below headAbs points at a
+// retired record — retirement requires issued && doneAt <= now, so a retired
+// producer is always satisfied and the reference needs no storage to prove
+// it.
+//
+// Scheduling is event-driven, so no per-cycle path walks the window:
+//
+//   - The unissued records form an age-ordered singly linked list over ring
+//     slots (uhead, utail, next); its first RSSize entries are the
+//     reservation-station view.
+//   - ready[slot] is the cycle from which the record's operands are all
+//     available: notReady while a producer is unissued, else the latest
+//     producer doneAt. Producers that already issued are folded in at
+//     dispatch; the others get a consumer edge, and issuing a producer walks
+//     its edges. A record can issue at cycle now iff ready[slot] <= now.
+//   - wake is the minimum ready cycle over the view, kept exact: the issue
+//     scan recomputes it over the view it leaves behind, and dispatch folds
+//     in a record that joins the view. Before wake nothing in the view can
+//     issue, so issue returns at once.
+//   - done is a min-heap of the doneAt values of issued records; after
+//     popping completed ones its top is the window's next completion, the
+//     fast-forward core's event.
 type window struct {
 	recs    []wrec
+	ready   []int64
+	next    []int32
+	done    []int64
 	mask    int64
 	headAbs int64
 	tailAbs int64
 	cap     int
 
+	uhead, utail int32
+	nUnissued    int
+	wake         int64
+
 	rename [ir.NumLocs]int64
-	// firstUnissued is a scan hint: every record below this absolute
-	// position has issued, so wakeup starts here instead of at headAbs.
-	// Purely an iteration-order optimization — the records it skips are
-	// exactly the ones the scan would skip one at a time.
-	firstUnissued int64
-	// blocked is a mispredicted branch (by absolute position, -1 = none)
-	// that stalls dispatch until it issues; the misprediction penalty is
-	// charged when it resolves.
-	blocked int64
+	// blocked is the ring slot of a mispredicted branch (-1 = none) that
+	// stalls dispatch until it issues; the misprediction penalty is charged
+	// when it resolves.
+	blocked int32
 	// haltAfterDrain stops dispatch and ends the thread once every
 	// dispatched instruction has issued and retired. Both halt and kill
 	// use it: a speculative thread's context is only freed when its
@@ -76,12 +111,19 @@ func (w *window) reset(capacity int) *window {
 		ringCap <<= 1
 	}
 	if w == nil || len(w.recs) < ringCap {
-		w = &window{recs: make([]wrec, ringCap)}
+		w = &window{
+			recs:  make([]wrec, ringCap),
+			ready: make([]int64, ringCap),
+			next:  make([]int32, ringCap),
+			done:  make([]int64, 0, ringCap),
+		}
 	}
 	w.mask = int64(len(w.recs) - 1)
 	w.cap = capacity
 	w.headAbs, w.tailAbs = 0, 0
-	w.firstUnissued = 0
+	w.uhead, w.utail, w.nUnissued = -1, -1, 0
+	w.wake = notReady
+	w.done = w.done[:0]
 	w.blocked = -1
 	w.haltAfterDrain, w.waitDrain = false, false
 	for i := range w.rename {
@@ -97,15 +139,121 @@ func (w *window) full() bool { return w.tailAbs-w.headAbs >= int64(w.cap) }
 // [headAbs, tailAbs).
 func (w *window) at(a int64) *wrec { return &w.recs[a&w.mask] }
 
-// srcReady reports whether the source at absolute position a is satisfied: a
-// retired producer (below headAbs) is satisfied by construction, a live one
-// iff it has issued and completed.
-func (w *window) srcReady(a, now int64) bool {
-	if a < w.headAbs {
-		return true
+// dispatch claims the ring slot at tailAbs for an instruction of class d,
+// links it to its producers through the rename table, renames its
+// destinations, and appends it to the unissued list, returning the slot.
+// The caller has checked the window is not full.
+func (w *window) dispatch(d *decode.Decoded, lat int64, rsSize int) int32 {
+	a := w.tailAbs
+	s := int32(a & w.mask)
+	r := &w.recs[s]
+	*r = wrec{fu: d.FU, lat: lat, consumers: -1}
+	for i, loc := range d.Uses {
+		pa := w.rename[loc]
+		if pa < w.headAbs {
+			continue // no producer in flight, or a retired one
+		}
+		p := w.at(pa)
+		if p.issued {
+			r.readyAcc = max(r.readyAcc, p.doneAt)
+			continue
+		}
+		r.nextEdge[i] = p.consumers
+		p.consumers = s*decode.MaxUses + int32(i)
+		r.waiting++
 	}
-	r := w.at(a)
-	return r.issued && r.doneAt <= now
+	ready := r.readyAcc
+	if r.waiting > 0 {
+		ready = notReady
+	}
+	w.ready[s] = ready
+	for _, loc := range d.Defs {
+		w.rename[loc] = a
+	}
+	w.tailAbs = a + 1
+
+	w.next[s] = -1
+	if w.utail < 0 {
+		w.uhead = s
+	} else {
+		w.next[w.utail] = s
+	}
+	w.utail = s
+	if w.nUnissued < rsSize {
+		// The record joins the reservation-station view.
+		w.wake = min(w.wake, ready)
+	}
+	w.nUnissued++
+	return s
+}
+
+// complete records that the record in slot s issued with completion cycle
+// doneAt: its consumers fold doneAt into their ready cycles, and doneAt
+// joins the completion heap. Heap entries at or below now are popped first,
+// which keeps the heap no larger than the window: every entry left is a
+// record still in flight.
+func (w *window) complete(s int32, doneAt, now int64) {
+	r := &w.recs[s]
+	r.issued = true
+	r.doneAt = doneAt
+	for e := r.consumers; e >= 0; {
+		cs := e / decode.MaxUses
+		c := &w.recs[cs]
+		e = c.nextEdge[e%decode.MaxUses]
+		c.readyAcc = max(c.readyAcc, doneAt)
+		if c.waiting--; c.waiting == 0 {
+			w.ready[cs] = c.readyAcc
+		}
+	}
+	for len(w.done) > 0 && w.done[0] <= now {
+		w.popDone()
+	}
+	// Sift up.
+	h := append(w.done, doneAt)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	w.done = h
+}
+
+// popDone removes the completion heap's minimum.
+func (w *window) popDone() {
+	h := w.done
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	w.done = h
+}
+
+// nextDone returns the earliest completion after now among issued records,
+// or notReady when none is outstanding.
+func (w *window) nextDone(now int64) int64 {
+	for len(w.done) > 0 && w.done[0] <= now {
+		w.popDone()
+	}
+	if len(w.done) == 0 {
+		return notReady
+	}
+	return w.done[0]
 }
 
 // runOOO is the 16-stage out-of-order model: per-thread 255-entry windows
@@ -118,14 +266,23 @@ func (m *Machine) runOOO() {
 	main := m.main()
 	main.win = main.win.reset(m.Cfg.ROBSize)
 	var sel [maxSelect]*Thread
+	// The configuration is immutable for the whole run; hoisted as in
+	// runInOrder.
+	maxCycles := m.Cfg.MaxCycles
+	cfgIntU, cfgMemU, cfgBrU, cfgFpU := m.Cfg.IntUnits, m.Cfg.MemPorts, m.Cfg.BrUnits, m.Cfg.FPUnits
+	issueWidth := m.Cfg.IssueWidth
+	retireWidth := m.Cfg.RetireWidth
+	threadsPerCycle := m.Cfg.ThreadsPerCycle
+	fastForward := m.Cfg.FastForward
 
 	for !m.mainDone {
-		if m.now >= m.Cfg.MaxCycles {
+		if m.now >= maxCycles {
 			m.res.TimedOut = true
 			return
 		}
-		if m.stop.Load() {
-			// Cancelled via RunContext: bail between cycles.
+		if m.now&63 == 0 && m.stop.Load() {
+			// Cancelled via RunContext: bail between cycles, polled every
+			// 64 cycles as in runInOrder.
 			return
 		}
 		m.now++
@@ -143,7 +300,7 @@ func (m *Machine) runOOO() {
 				continue
 			}
 			w := t.win
-			for k := 0; k < m.Cfg.RetireWidth && w.headAbs < w.tailAbs; k++ {
+			for k := 0; k < retireWidth && w.headAbs < w.tailAbs; k++ {
 				r := w.at(w.headAbs)
 				if !r.issued || r.doneAt > m.now {
 					break
@@ -161,7 +318,7 @@ func (m *Machine) runOOO() {
 		sel[n] = main
 		n++
 		if m.liveSpec > 0 {
-			for scan, picked := 0, 0; scan < len(m.threads) && picked < m.Cfg.ThreadsPerCycle-1 && n < len(sel); scan++ {
+			for scan, picked := 0, 0; scan < len(m.threads) && picked < threadsPerCycle-1 && n < len(sel); scan++ {
 				// m.rr moves on every pick, so the index is recomputed from
 				// it each iteration; rr and scan are both < len, so one
 				// conditional subtract replaces the modulo.
@@ -181,13 +338,13 @@ func (m *Machine) runOOO() {
 				}
 			}
 		}
-		slots := m.Cfg.IssueWidth
+		slots := issueWidth
 		if n > 1 {
 			slots /= n
 		}
 
 		// Issue (wakeup/select).
-		intU, memU, brU, fpU := m.Cfg.IntUnits, m.Cfg.MemPorts, m.Cfg.BrUnits, m.Cfg.FPUnits
+		intU, memU, brU, fpU := cfgIntU, cfgMemU, cfgBrU, cfgFpU
 		issuedMain, issuedTotal := 0, 0
 		for ti := 0; ti < n; ti++ {
 			t := sel[ti]
@@ -212,99 +369,124 @@ func (m *Machine) runOOO() {
 		stats := CycleStats{IssuedMain: issuedMain}
 		if m.statsDefault {
 			// Devirtualized default stats recorder (same effect as the
-			// interface call below, minus the dynamic dispatch).
-			m.accountCycle(main, issuedMain, false, 0)
+			// interface call below, minus the dynamic dispatch), with the
+			// dominant case inlined as in runInOrder.
+			if issuedMain > 0 && len(main.pending) == 0 {
+				m.res.Breakdown[CatExec]++
+			} else {
+				m.accountCycle(main, issuedMain, false, 0)
+			}
 			m.recordUtilization()
 		} else if m.cycle != nil {
 			m.cycle.Cycle(m, main, stats)
 		}
-		if m.Cfg.FastForward && !retired && issuedTotal == 0 && dispatched == 0 && !m.mainDone {
+		if fastForward && !retired && issuedTotal == 0 && dispatched == 0 && !m.mainDone {
 			m.fastForwardOOO(main, stats)
 		}
 	}
 }
 
 // issueOOO issues up to slots data-ready records from the oldest RSSize
-// unissued window entries.
+// unissued window entries, oldest first.
 func (m *Machine) issueOOO(t *Thread, slots int, intU, memU, brU, fpU *int) int {
 	if !t.active || t.win == nil {
 		return 0
 	}
 	w := t.win
+	now := m.now
+	if w.wake > now {
+		return 0 // nothing in the view is ready yet
+	}
+	rsSize := m.Cfg.RSSize
 	issued := 0
-	considered := 0
-	for w.firstUnissued < w.tailAbs && w.at(w.firstUnissued).issued {
-		w.firstUnissued++
+	// One walk issues among the candidates — the first rsSize entries as
+	// the scan found them — and recomputes wake over the first rsSize
+	// entries it leaves behind, which reach past the candidates by as many
+	// records as issued.
+	wake := notReady
+	pos, kept := 0, 0
+	prev := int32(-1)
+	for s := w.uhead; s >= 0 && kept < rsSize; {
+		next := w.next[s]
+		ready := w.ready[s]
+		if pos < rsSize && issued < slots && ready <= now && takeFU(w.recs[s].fu, intU, memU, brU, fpU) {
+			m.issueRec(t, w, s)
+			issued++
+			// Unlink s; prev stays the last surviving entry.
+			if prev < 0 {
+				w.uhead = next
+			} else {
+				w.next[prev] = next
+			}
+			if w.utail == s {
+				w.utail = prev
+			}
+			w.nUnissued--
+		} else {
+			wake = min(wake, ready)
+			kept++
+			prev = s
+		}
+		pos++
+		s = next
 	}
-	start := w.firstUnissued
-	if start < w.headAbs {
-		start = w.headAbs
-	}
-	for a := start; a < w.tailAbs && issued < slots && considered < m.Cfg.RSSize; a++ {
-		r := w.at(a)
-		if r.issued {
-			continue
-		}
-		considered++
-		ready := true
-		for s := 0; s < r.nsrc; s++ {
-			if !w.srcReady(r.srcs[s], m.now) {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			continue
-		}
-		switch r.fu {
-		case decode.FUInt:
-			if *intU == 0 {
-				continue
-			}
-			*intU--
-		case decode.FUMem:
-			if *memU == 0 {
-				continue
-			}
-			*memU--
-		case decode.FUBr:
-			if *brU == 0 {
-				continue
-			}
-			*brU--
-		case decode.FUFP:
-			if *fpU == 0 {
-				continue
-			}
-			*fpU--
-		}
-		r.issued = true
-		switch r.memKind {
-		case memLoad:
-			acc := m.Hier.Access(r.memID, r.memAddr, m.now, true)
-			r.doneAt = m.now + acc.Latency
-			if acc.Level != mem.L1 && m.cycle != nil {
-				// Only the cycle hook's accounting consumes (and compacts)
-				// pending fills; don't grow them unhooked.
-				t.pending = append(t.pending, pendingFill{readyAt: r.doneAt, level: acc.Level})
-			}
-		case memStore:
-			m.Hier.Access(r.memID, r.memAddr, m.now, true)
-			r.doneAt = m.now + 1
-		case memPrefetch:
-			m.Hier.Prefetch(r.memID, r.memAddr, m.now)
-			r.doneAt = m.now + 1
-		default:
-			r.doneAt = m.now + r.lat
-		}
-		if w.blocked == a {
-			// Mispredicted branch resolves: refetch after the flush.
-			w.blocked = -1
-			t.frontStallUntil = r.doneAt + m.Cfg.MispredictPenalty
-		}
-		issued++
-	}
+	w.wake = wake
 	return issued
+}
+
+// takeFU claims a unit of the given class from this cycle's pool, reporting
+// false when none is left.
+func takeFU(fu decode.FUClass, intU, memU, brU, fpU *int) bool {
+	var u *int
+	switch fu {
+	case decode.FUInt:
+		u = intU
+	case decode.FUMem:
+		u = memU
+	case decode.FUBr:
+		u = brU
+	case decode.FUFP:
+		u = fpU
+	default:
+		return true
+	}
+	if *u == 0 {
+		return false
+	}
+	*u--
+	return true
+}
+
+// issueRec issues the record in ring slot s: it starts the memory access or
+// the execution latency, wakes the record's consumers, and resolves a
+// blocked mispredicted branch.
+func (m *Machine) issueRec(t *Thread, w *window, s int32) {
+	r := &w.recs[s]
+	var doneAt int64
+	switch r.memKind {
+	case memLoad:
+		acc := m.Hier.Access(r.memID, r.memAddr, m.now, true)
+		doneAt = m.now + acc.Latency
+		if acc.Level != mem.L1 && m.cycle != nil {
+			// Only the cycle hook's accounting consumes (and compacts)
+			// pending fills; don't grow them unhooked.
+			t.pending = append(t.pending, pendingFill{readyAt: doneAt, level: acc.Level})
+		}
+	case memStore:
+		m.Hier.Access(r.memID, r.memAddr, m.now, true)
+		doneAt = m.now + 1
+	case memPrefetch:
+		m.Hier.Prefetch(r.memID, r.memAddr, m.now)
+		doneAt = m.now + 1
+	default:
+		doneAt = m.now + r.lat
+	}
+	w.complete(s, doneAt, m.now)
+	if w.blocked == s {
+		// Mispredicted branch resolves: refetch after the flush.
+		w.blocked = -1
+		t.frontStallUntil = doneAt + m.Cfg.MispredictPenalty
+	}
 }
 
 // dispatchOOO decodes, renames, and architecturally executes up to slots
@@ -313,6 +495,7 @@ func (m *Machine) dispatchOOO(t *Thread, slots int) int {
 	if !t.active || t.win == nil {
 		return 0
 	}
+	rsSize := m.Cfg.RSSize
 	for k := 0; k < slots; k++ {
 		w := t.win
 		if t.frontStallUntil > m.now || w.blocked >= 0 || w.haltAfterDrain || w.full() {
@@ -346,21 +529,7 @@ func (m *Machine) dispatchOOO(t *Thread, slots int) int {
 				} else {
 					m.res.MainInstrs++
 				}
-				a := w.tailAbs
-				r := w.at(a)
-				*r = wrec{pc: pc, fu: d.FU, lat: m.lat[d.Lat]}
-				for _, loc := range d.Uses {
-					if pa := w.rename[loc]; pa >= w.headAbs && !w.srcReady(pa, m.now) {
-						if r.nsrc < len(r.srcs) {
-							r.srcs[r.nsrc] = pa
-							r.nsrc++
-						}
-					}
-				}
-				for _, loc := range d.Defs {
-					w.rename[loc] = a
-				}
-				w.tailAbs = a + 1
+				w.dispatch(d, m.lat[d.Lat], rsSize)
 				if killed {
 					w.haltAfterDrain = true
 					return k + 1
@@ -382,31 +551,17 @@ func (m *Machine) dispatchOOO(t *Thread, slots int) int {
 			m.res.MainInstrs++
 		}
 
-		// Claim the ring slot at the next absolute position; full() above
-		// guarantees it is free.
-		a := w.tailAbs
-		r := w.at(a)
-		*r = wrec{pc: pc, fu: d.FU, lat: m.lat[d.Lat]}
-		for _, loc := range d.Uses {
-			if pa := w.rename[loc]; pa >= w.headAbs && !w.srcReady(pa, m.now) {
-				if r.nsrc < len(r.srcs) {
-					r.srcs[r.nsrc] = pa
-					r.nsrc++
-				}
-			}
-		}
+		// full() above guarantees the ring slot at tailAbs is free.
+		s := w.dispatch(d, m.lat[d.Lat], rsSize)
 		if !ef.nullified && ef.memKind != memNone {
+			r := &w.recs[s]
 			r.memKind, r.memAddr, r.memID = ef.memKind, ef.memAddr, ef.memID
 		}
-		for _, loc := range d.Defs {
-			w.rename[loc] = a
-		}
-		w.tailAbs = a + 1
 
 		if ef.brCond {
 			if m.Pred.PredictAndTrain(uint64(pc), ef.brTaken && !ef.nullified) {
 				m.res.Mispredicts++
-				w.blocked = a
+				w.blocked = s
 			}
 		}
 		if d.Op == ir.OpChk && ef.nextPC != pc+1 {

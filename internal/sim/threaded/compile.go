@@ -40,9 +40,6 @@ func Compile(dp *decode.Program) *Program {
 	for pc := range dp.Code {
 		d := &dp.Code[pc]
 		si := &p.Info[pc]
-		if len(d.Uses) > len(si.Uses) || len(d.Defs) > len(si.Defs) {
-			continue // cannot describe the operands compactly: no step
-		}
 		if s, pure, ok := stepFor(d); ok && pure {
 			s = guard(d.Qp, s)
 			if s == nil {

@@ -110,11 +110,11 @@ type node struct {
 // the operand locations, function-unit class, and latency class of a pure
 // step, inlined into one 16-byte fixed-size struct so the cycle engines'
 // issue loop never chases the decode table's Uses/Defs slice backing arrays.
-// Capacities cover every pure instruction (at most qp + three sources, two
-// destinations); an instruction that would not fit simply gets no step.
+// Capacities are decode.MaxUses and decode.MaxDefs, which Predecode enforces,
+// so every instruction fits.
 type StepInfo struct {
-	Uses   [4]ir.Loc
-	Defs   [2]ir.Loc
+	Uses   [decode.MaxUses]ir.Loc
+	Defs   [decode.MaxDefs]ir.Loc
 	NU, ND uint8
 	FU     decode.FUClass
 	Lat    decode.LatClass
