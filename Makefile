@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race alloc-gate perfbench-test bench bench-diff bench-smoke bench-gate sspcheck predecode-sweep fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
+.PHONY: check fmt vet test race alloc-gate perfbench-test perf-pairs bench bench-diff bench-smoke bench-gate sspcheck predecode-sweep fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
 
 # check is the full gate: formatting, vet, the test suite under the race
 # detector (the concurrent experiment engine is exercised by internal/exp's
@@ -84,6 +84,19 @@ cover:
 # does not reach it.
 perfbench-test:
 	cd perfbench && $(GO) test .
+
+# perf-pairs compares this working tree with revision BASE on one benchmark
+# workload: PAIRS interleaved untraced perfbench runs per side (alternating
+# which side runs first, pair i on seed SEED+i-1), failing on any incorrect
+# run, then per-pair end-to-end metrics, each side's median and quartiles,
+# and head's win count. BASE is built in a git worktree under
+# .bench_build/pairs/. Local only (not CI): it takes PAIRS x 2 runs.
+# Usage: make perf-pairs BASE=HEAD~1 WORKLOAD=fig2-paper PAIRS=10 SEED=1
+PAIRS ?= 10
+SEED ?= 1
+METRIC ?= cpu_s
+perf-pairs:
+	BASE="$(BASE)" WORKLOAD="$(WORKLOAD)" PAIRS="$(PAIRS)" SEED="$(SEED)" METRIC="$(METRIC)" bash scripts/perf-pairs.sh
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -324,6 +324,11 @@ func PredecodeEquivalence(cfgs []sim.Config, p *ir.Program) error {
 // events and exercises the shorter event set. The fast run must also pass
 // the conservation layer (run() applies it), which is what makes the bulk
 // crediting honest rather than merely internally consistent.
+//
+// A profiled fast-forwarded run (Config.Profile) must equal the plain one
+// too, fast-forward counters included: profiling only counts through an
+// exec hook, which is what lets exp.Suite keep its profiling run as the
+// in-order base cell.
 func FastForwardEquivalence(cfgs []sim.Config, p *ir.Program) error {
 	img, err := ir.Link(p)
 	if err != nil {
@@ -343,6 +348,19 @@ func FastForwardEquivalence(cfgs []sim.Config, p *ir.Program) error {
 		}
 		if err := sameTiming(fast, slow); err != nil {
 			return fmt.Errorf("check: fastforward %v: %w", cfg.Model, err)
+		}
+		profCfg := fastCfg
+		profCfg.Profile = true
+		prof, err := run(profCfg, dp)
+		if err != nil {
+			return fmt.Errorf("check: fastforward %v: profiled: %w", cfg.Model, err)
+		}
+		if err := sameTiming(prof, fast); err != nil {
+			return fmt.Errorf("check: fastforward %v: profiled vs plain: %w", cfg.Model, err)
+		}
+		if prof.FastForwards != fast.FastForwards || prof.FastForwardedCycles != fast.FastForwardedCycles {
+			return fmt.Errorf("check: fastforward %v: profiled vs plain: %d jumps over %d cycles vs %d over %d",
+				cfg.Model, prof.FastForwards, prof.FastForwardedCycles, fast.FastForwards, fast.FastForwardedCycles)
 		}
 		// Stats-off pair: no cycle hook means no pending-fill events bound
 		// the jumps, so the core must stay cycle-exact on timing alone.

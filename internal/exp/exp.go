@@ -115,10 +115,11 @@ type Suite struct {
 	pool sim.Pool
 }
 
-// decodeKey identifies one binary of the matrix: a benchmark adapted as a
-// variant. Machine models are deliberately absent — the predecoded image is
-// config-independent, so the in-order and OOO cells (and the perfect-memory
-// treatments, which only alter the hierarchy) all share one decode.
+// decodeKey identifies one adapted binary of the matrix: a benchmark adapted
+// as a variant. Machine models are deliberately absent — the predecoded image
+// is config-independent, so the in-order and OOO cells share one decode. The
+// original binary's decode, which base and the perfect-memory treatments
+// (they only alter the hierarchy) share, lives on the progSet instead.
 type decodeKey struct {
 	Bench   string
 	Variant Variant
@@ -138,11 +139,19 @@ type optRunKey struct {
 	OptKey string
 }
 
-// progSet is one benchmark's built program, profile, and adapted variants.
+// progSet is one benchmark's built program, its predecoded image, its
+// in-order base cell, the profile taken from that cell's run, and its
+// adapted variants.
 type progSet struct {
 	spec workloads.Spec
 	orig *ir.Program
 	want uint64
+	// dp is the original binary linked, predecoded and chain-compiled once:
+	// the base, perfmem and perfdel cells of both models run over it.
+	dp *decode.Program
+	// base is the {bench, in-order, base} cell: the profiling run itself,
+	// kept with its profile-only fields cleared.
+	base *sim.Result
 	prof *profile.Profile
 	del  []int
 
@@ -204,6 +213,14 @@ func (s *Suite) scaleOf(spec workloads.Spec) int {
 
 // prog builds (once) the benchmark, its profile, and its delinquent set.
 // Concurrent callers for the same benchmark coalesce onto one build.
+//
+// The profile is the cache profile of the original binary run on the
+// in-order model (Figure 1) — exactly the in-order base cell every figure
+// divides by — so that run is made once, here, through execute (pooled
+// machine, watchdog, answer checksum, conservation, Progress) with
+// Config.Profile set, and its Result becomes the base cell. Profiling only
+// adds an exec hook that counts; it changes no timing or statistic
+// (check.FastForwardEquivalence proves the profiled run equal).
 func (s *Suite) prog(ctx context.Context, bench string) (*progSet, error) {
 	s.mu.Lock()
 	c, ok := s.progs[bench]
@@ -218,15 +235,27 @@ func (s *Suite) prog(ctx context.Context, bench string) (*progSet, error) {
 			return nil, err
 		}
 		orig, want := spec.Build(s.scaleOf(spec))
-		prof, err := profile.CollectContext(ctx, orig, s.machineConfig(sim.InOrder))
+		img, err := ir.Link(orig)
+		if err != nil {
+			return nil, fmt.Errorf("%s: link: %w", bench, err)
+		}
+		dp := sim.Predecode(img)
+		sim.ThreadedProgram(dp) // warm the chain compile (see predecoded)
+		cfg := s.machineConfig(sim.InOrder)
+		cfg.Profile = true
+		base, err := s.execute(ctx, RunKey{bench, sim.InOrder, VarBase}, cfg, dp, want, nil, true)
 		if err != nil {
 			return nil, fmt.Errorf("%s: profile: %w", bench, err)
 		}
+		prof := profile.FromResult(orig, img, base, cfg.Mem)
+		base.PCCount, base.CallEdges = nil, nil
 		opt := ssp.DefaultOptions()
 		return &progSet{
 			spec:        spec,
 			orig:        orig,
 			want:        want,
+			dp:          dp,
+			base:        base,
 			prof:        prof,
 			del:         ssp.RankTargets(orig, prof, opt),
 			variants:    make(map[Variant]*flight.Cell[variantProg]),
@@ -317,8 +346,17 @@ func (s *Suite) Report(bench string, v Variant) (*ssp.Report, error) {
 
 // predecoded links and predecodes a benchmark variant's binary exactly once;
 // every cell over that binary — both machine models, all seeds of callers —
-// shares the immutable result. Duplicate in-flight requests coalesce.
+// shares the immutable result. Duplicate in-flight requests coalesce. The
+// original binary's decode (base, perfmem, perfdel) lives on the progSet.
 func (s *Suite) predecoded(ctx context.Context, bench string, v Variant) (*decode.Program, error) {
+	switch v {
+	case VarBase, VarPerfMem, VarPerfDel:
+		ps, err := s.prog(ctx, bench)
+		if err != nil {
+			return nil, err
+		}
+		return ps.dp, nil
+	}
 	key := decodeKey{bench, v}
 	s.mu.Lock()
 	c, ok := s.decs[key]
@@ -403,6 +441,10 @@ func (s *Suite) simulate(ctx context.Context, key RunKey, instrument func(*sim.M
 	ps, err := s.prog(ctx, key.Bench)
 	if err != nil {
 		return nil, err
+	}
+	if key.Model == sim.InOrder && key.Variant == VarBase && instrument == nil {
+		// The profiling run made this cell (see prog).
+		return ps.base, nil
 	}
 	dp, err := s.predecoded(ctx, key.Bench, key.Variant)
 	if err != nil {
@@ -559,8 +601,12 @@ func (s *Suite) RunOptions(ctx context.Context, bench string, model sim.Model, o
 
 // Workload exposes a benchmark's built program, its expected final-answer
 // checksum, and the offline profile (building and profiling on first use).
-// The returned structures are shared with the suite's caches — callers must
-// treat them as read-only. The closed-loop tuner re-adapts from these.
+// The profiling run is the benchmark's in-order base cell: the first
+// Workload (or any first use of the benchmark) simulates that cell — firing
+// Progress for it — and a later Run of {bench, in-order, base} returns it
+// without simulating again. The returned structures are shared with the
+// suite's caches — callers must treat them as read-only. The closed-loop
+// tuner re-adapts from these.
 func (s *Suite) Workload(ctx context.Context, bench string) (*ir.Program, uint64, *profile.Profile, error) {
 	ps, err := s.prog(ctx, bench)
 	if err != nil {

@@ -27,6 +27,12 @@ func (h *panicHook) Exec(m *sim.Machine, t *sim.Thread, pc int) {
 // produce exactly the reference result.
 func TestPanickedRunDiscardsMachine(t *testing.T) {
 	s := NewSuite(ScaleTest)
+	// Workload's profiling run (the in-order base cell) returns its clean
+	// machine to the pool; the panicked run must add no Put to that.
+	if _, _, _, err := s.Workload(context.Background(), "mcf"); err != nil {
+		t.Fatal(err)
+	}
+	before := s.PoolStats().Puts
 	_, err := s.RunInstrumented("mcf", sim.InOrder, VarBase, func(m *sim.Machine) {
 		m.AttachExec(&panicHook{left: 100})
 	})
@@ -36,17 +42,18 @@ func TestPanickedRunDiscardsMachine(t *testing.T) {
 	if !strings.Contains(err.Error(), "panic during simulation") {
 		t.Fatalf("panic not surfaced in the error: %v", err)
 	}
-	if puts := s.PoolStats().Puts; puts != 0 {
-		t.Fatalf("panicked run returned a machine to the pool (Puts=%d)", puts)
+	if puts := s.PoolStats().Puts - before; puts != 0 {
+		t.Fatalf("panicked run returned a machine to the pool (%d Puts)", puts)
 	}
 
-	// The next run of the same cell must be clean and byte-identical to a
-	// fresh suite's result.
-	got, err := s.Run("mcf", sim.InOrder, VarBase)
+	// The next simulated cell must be clean and byte-identical to a fresh
+	// suite's result. (The in-order base cell itself is Workload's
+	// profiling run, so the cell that draws a pooled machine is OOO.)
+	got, err := s.Run("mcf", sim.OOO, VarBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewSuite(ScaleTest).Run("mcf", sim.InOrder, VarBase)
+	want, err := NewSuite(ScaleTest).Run("mcf", sim.OOO, VarBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +85,12 @@ func (h *cancelHook) Exec(m *sim.Machine, t *sim.Thread, pc int) {
 // correctly.
 func TestCancelledCellRetries(t *testing.T) {
 	s := NewSuite(ScaleTest)
+	// As in TestPanickedRunDiscardsMachine: the profiling run's clean Put
+	// happens in Workload, before the cancelled run.
+	if _, _, _, err := s.Workload(context.Background(), "mcf"); err != nil {
+		t.Fatal(err)
+	}
+	before := s.PoolStats().Puts
 
 	// Deterministic mid-run cancellation: an exec hook pulls the trigger
 	// after 500 instructions, well inside the run.
@@ -93,8 +106,8 @@ func TestCancelledCellRetries(t *testing.T) {
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("cancellation took %v", wall)
 	}
-	if puts := s.PoolStats().Puts; puts != 0 {
-		t.Fatalf("cancelled run returned its machine to the pool (Puts=%d)", puts)
+	if puts := s.PoolStats().Puts - before; puts != 0 {
+		t.Fatalf("cancelled run returned its machine to the pool (%d Puts)", puts)
 	}
 
 	// A cancelled context surfaced through the public cache path must not

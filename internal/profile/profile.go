@@ -58,13 +58,23 @@ func CollectContext(ctx context.Context, p *ir.Program, cfg sim.Config) (*Profil
 	if res.TimedOut {
 		return nil, fmt.Errorf("profile: run timed out after %d cycles", res.Cycles)
 	}
+	return FromResult(p, img, res, cfg.Mem), nil
+}
+
+// FromResult builds the feedback bundle from a finished run of p's linked
+// image img made with Config.Profile set (res.PCCount and res.CallEdges are
+// its input) under the memory configuration memCfg. Each load statistic is
+// copied, as in Rebase, so the profile never aliases res: a caller may keep
+// res as a cached result of its own. This is how a profiling run doubles as
+// the in-order baseline run (exp.Suite).
+func FromResult(p *ir.Program, img *ir.Image, res *sim.Result, memCfg mem.Config) *Profile {
 	pr := &Profile{
 		InstrFreq: make(map[int]uint64),
 		BlockFreq: make(map[string]uint64),
 		Loads:     make(map[int]*mem.LoadStat),
 		CallEdges: make(map[int]map[string]uint64),
 		Cycles:    res.Cycles,
-		MemCfg:    cfg.Mem,
+		MemCfg:    memCfg,
 	}
 	for pc, count := range res.PCCount {
 		if count == 0 {
@@ -78,14 +88,7 @@ func CollectContext(ctx context.Context, p *ir.Program, cfg sim.Config) (*Profil
 			pr.BlockFreq[key] += count
 		}
 	}
-	for id, stat := range res.Hier.ByLoad() {
-		_, _, in := p.InstrByID(id)
-		if in == nil || in.Op != ir.OpLd {
-			continue
-		}
-		pr.Loads[id] = stat
-		pr.TotalMissCycles += stat.MissCycles
-	}
+	pr.Loads, pr.TotalMissCycles = loadStats(res, p)
 	for callID, edges := range res.CallEdges {
 		m := make(map[string]uint64)
 		for pc, n := range edges {
@@ -95,7 +98,24 @@ func CollectContext(ctx context.Context, p *ir.Program, cfg sim.Config) (*Profil
 		}
 		pr.CallEdges[callID] = m
 	}
-	return pr, nil
+	return pr
+}
+
+// loadStats copies a run's per-load statistics for the loads of program p,
+// with their miss-cycle total.
+func loadStats(res *sim.Result, p *ir.Program) (map[int]*mem.LoadStat, uint64) {
+	loads := make(map[int]*mem.LoadStat)
+	var total uint64
+	for id, stat := range res.Hier.ByLoad() {
+		_, _, in := p.InstrByID(id)
+		if in == nil || in.Op != ir.OpLd {
+			continue
+		}
+		s := *stat
+		loads[id] = &s
+		total += s.MissCycles
+	}
+	return loads, total
 }
 
 // DelinquentLoads returns the IDs of the static loads that together account
@@ -231,19 +251,10 @@ func (pr *Profile) Rebase(res *sim.Result, p *ir.Program) *Profile {
 		InstrFreq: pr.InstrFreq,
 		BlockFreq: pr.BlockFreq,
 		CallEdges: pr.CallEdges,
-		Loads:     make(map[int]*mem.LoadStat),
 		Cycles:    res.Cycles,
 		MemCfg:    pr.MemCfg,
 	}
-	for id, stat := range res.Hier.ByLoad() {
-		_, _, in := p.InstrByID(id)
-		if in == nil || in.Op != ir.OpLd {
-			continue
-		}
-		s := *stat
-		out.Loads[id] = &s
-		out.TotalMissCycles += s.MissCycles
-	}
+	out.Loads, out.TotalMissCycles = loadStats(res, p)
 	return out
 }
 

@@ -29,7 +29,7 @@ func allocProgram(t *testing.T) *decode.Program {
 // cycle-level engine to a hard allocation ceiling. Once a machine has run a
 // program, rerunning it (the exp.Suite pool's steady state) may allocate
 // only the handful of objects that materialize the detached Result — the
-// per-cycle path (threads, pending buffers, OOO window, memory hierarchy)
+// per-cycle path (threads, fill heap, OOO window, memory hierarchy)
 // must reuse its preallocated layout. Measured today: 12 allocs/run for all
 // four configurations; the ceiling leaves no room for a per-access or
 // per-cycle allocation to creep back in, which would show up as thousands.

@@ -24,7 +24,7 @@ package sim
 //     issued-but-incomplete records, the top of its completion heap —
 //     completions drive retirement, wakeup, full-window drain, waitDrain
 //     drain, and blocked-branch resolution;
-//   - the completion of any of the main thread's pending cache fills,
+//   - the completion of any of the main thread's outstanding cache fills,
 //     because the Figure 10 category of a stalled cycle depends on the
 //     deepest *outstanding* fill (a jump across a fill completion could
 //     credit cycles to the wrong miss level);
@@ -34,6 +34,65 @@ package sim
 //     the core correct if the memory system ever grows eager behavior.
 
 const ffNoEvent = int64(1) << 62
+
+// eventHeap is a min-heap of future event cycles: an OOO window's record
+// completions and the main thread's cache-fill completions. Entries at or
+// before now are popped on every push and read, so it holds only events
+// still ahead and its top is the next one.
+type eventHeap []int64
+
+// push adds an event at cycle at, first popping the events at or before now.
+func (h *eventHeap) push(at, now int64) {
+	if len(*h) > 0 && (*h)[0] <= now {
+		h.prune(now)
+	}
+	s := append(*h, at)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+	*h = s
+}
+
+// next returns the earliest event after now, or ffNoEvent when none is left.
+func (h *eventHeap) next(now int64) int64 {
+	if len(*h) > 0 && (*h)[0] <= now {
+		h.prune(now)
+	}
+	if len(*h) == 0 {
+		return ffNoEvent
+	}
+	return (*h)[0]
+}
+
+// prune pops the events at or before now.
+func (h *eventHeap) prune(now int64) {
+	s := *h
+	for len(s) > 0 && s[0] <= now {
+		n := len(s) - 1
+		s[0] = s[n]
+		s = s[:n]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && s[c+1] < s[c] {
+				c++
+			}
+			if s[i] <= s[c] {
+				break
+			}
+			s[i], s[c] = s[c], s[i]
+			i = c
+		}
+	}
+	*h = s
+}
 
 // maxSelect is the engines' per-cycle thread-selection capacity (the size of
 // their sel arrays); stepRR mirrors the same bound.
@@ -129,9 +188,7 @@ func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 		if t.frontStallUntil > m.now && t.frontStallUntil < next {
 			next = t.frontStallUntil
 		}
-		if d := w.nextDone(m.now); d < next {
-			next = d
-		}
+		next = min(next, w.done.next(m.now))
 	}
 	m.ffJump(main, s, next, eligible)
 }
@@ -143,14 +200,10 @@ func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 // every skipped cycle would have produced the same stats.
 func (m *Machine) ffJump(main *Thread, s CycleStats, next int64, eligible uint64) {
 	if m.cycle != nil {
-		// Never jump across a completion of one of main's pending fills:
-		// the breakdown category of a stalled cycle is the deepest
+		// Never jump across a completion of one of main's outstanding
+		// fills: the breakdown category of a stalled cycle is the deepest
 		// outstanding fill's level, which changes at each completion.
-		for _, p := range main.pending {
-			if p.readyAt > m.now && p.readyAt < next {
-				next = p.readyAt
-			}
-		}
+		next = min(next, m.fills.done.next(m.now))
 	}
 	if e, ok := m.Hier.EarliestPending(m.now); ok && e < next {
 		next = e

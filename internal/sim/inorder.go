@@ -112,7 +112,7 @@ func (m *Machine) runInOrder() {
 			// interface call below, minus the dynamic dispatch), with the
 			// dominant case inlined: a cycle that issued main instructions
 			// with no outstanding fill is pure execution.
-			if issuedMain > 0 && len(main.pending) == 0 {
+			if issuedMain > 0 && m.fills.latest <= m.now {
 				m.res.Breakdown[CatExec]++
 			} else {
 				m.accountCycle(main, issuedMain, stalledOnLoad, stallLevel)
@@ -144,12 +144,12 @@ func (m *Machine) accountCycle(main *Thread, issuedMain int, stalledOnLoad bool,
 // bulk form behind both per-cycle accounting (k=1) and fast-forward stall
 // crediting. The fast-forward core guarantees the classification is constant
 // over the k cycles: it never jumps across a completion of one of main's
-// pending fills, so the deepest outstanding level cannot change mid-span.
+// outstanding fills, so the deepest outstanding level cannot change mid-span.
 func (m *Machine) accountCycles(main *Thread, issuedMain int, stalledOnLoad bool, stallLevel mem.Level, k int64) {
 	var cat Category
 	switch {
 	case issuedMain > 0:
-		if _, any := main.deepestOutstanding(m.now); any {
+		if _, any := m.fills.deepest(m.now); any {
 			cat = CatCacheExec
 		} else {
 			cat = CatExec
@@ -159,7 +159,7 @@ func (m *Machine) accountCycles(main *Thread, issuedMain int, stalledOnLoad bool
 	case main.frontStallUntil > m.now:
 		cat = CatOther
 	default:
-		if lvl, any := main.deepestOutstanding(m.now); any {
+		if lvl, any := m.fills.deepest(m.now); any {
 			cat = missCategory(lvl)
 		} else {
 			cat = CatOther
@@ -261,10 +261,10 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 			t.sb[ef.loadDest].ready = m.now + acc.Latency
 			if acc.Level != mem.L1 {
 				t.sb[ef.loadDest].loadLevel = uint8(acc.Level) + 1
-				if m.cycle != nil {
-					// Only the cycle hook's accounting consumes (and
-					// compacts) pending fills; don't grow them unhooked.
-					t.pending = append(t.pending, pendingFill{readyAt: m.now + acc.Latency, level: acc.Level})
+				if m.cycle != nil && !t.spec {
+					// Only the cycle hook's accounting of the main
+					// thread reads the fills.
+					m.fills.add(m.now+acc.Latency, acc.Level, m.now)
 				}
 			}
 		case memStore:

@@ -54,10 +54,6 @@ type Thread struct {
 	// them halves the bounds checks and keeps both on one cache line.
 	sb [ir.NumLocs]sbEntry
 
-	// pending tracks outstanding cache fills (for accounting; only
-	// maintained while cycle hooks are installed).
-	pending []pendingFill
-
 	// OOO state (nil on the in-order model).
 	win *window
 }
@@ -83,28 +79,49 @@ func (t *Thread) Instrs() int64 { return t.instrs }
 // program.
 func (t *Thread) Speculative() bool { return t.spec }
 
-type pendingFill struct {
-	readyAt int64
-	level   mem.Level
+// fillTracker follows the main thread's outstanding cache fills — the
+// loads it issued that missed L1 — for the Figure 10 classification of its
+// cycles. The engines feed it only while a cycle hook is installed: the
+// hook's accounting and the fast-forward core's jump bound, which exists
+// only for that accounting, are its only readers.
+// Both questions asked of it are O(1) in the number of fills:
+//
+//   - the deepest level with a fill outstanding at now is the deepest level
+//     whose latest completion lies after now (last), and no fill is
+//     outstanding at all iff the latest completion overall (latest) is at
+//     or before now;
+//   - the next fill completion after now, the event a fast-forward jump
+//     must not cross, is the top of an eventHeap of completion cycles (it
+//     holds only fills still in flight).
+type fillTracker struct {
+	last   [mem.NumLevels]int64
+	latest int64
+	done   eventHeap
 }
 
-// deepestOutstanding returns the deepest level among outstanding fills, or
-// (0,false) when none remain. Completed entries are compacted away.
-func (t *Thread) deepestOutstanding(now int64) (mem.Level, bool) {
-	out := t.pending[:0]
-	var deepest mem.Level
-	found := false
-	for _, p := range t.pending {
-		if p.readyAt > now {
-			out = append(out, p)
-			if !found || p.level > deepest {
-				deepest = p.level
-				found = true
-			}
-		}
+// reset forgets every fill, keeping the heap's backing array.
+func (f *fillTracker) reset() {
+	*f = fillTracker{done: f.done[:0]}
+}
+
+// add records a fill at level lvl completing at readyAt, issued at now.
+func (f *fillTracker) add(readyAt int64, lvl mem.Level, now int64) {
+	f.last[lvl] = max(f.last[lvl], readyAt)
+	f.latest = max(f.latest, readyAt)
+	f.done.push(readyAt, now)
+}
+
+// deepest returns the deepest level among fills outstanding at now, or
+// (0, false) when none is.
+func (f *fillTracker) deepest(now int64) (mem.Level, bool) {
+	if f.latest <= now {
+		return 0, false
 	}
-	t.pending = out
-	return deepest, found
+	lvl := mem.NumLevels - 1
+	for f.last[lvl] <= now {
+		lvl--
+	}
+	return lvl, true
 }
 
 // Machine simulates one program on one machine model. Its execution core is
@@ -125,6 +142,9 @@ type Machine struct {
 	threads []*Thread
 	now     int64
 	res     Result
+	// fills tracks the main thread's outstanding cache fills (only while a
+	// cycle hook is installed).
+	fills fillTracker
 	// ef is execArch's scratch effect slot (see exec.go).
 	ef archEffect
 
@@ -253,10 +273,8 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 		}
 	} else {
 		for i, t := range m.threads {
-			pending := t.pending[:0]
 			win := t.win
 			*t = Thread{idx: i, resumePC: -1, lastChkTaken: -1 << 40}
-			t.pending = pending
 			if cfg.Model == OOO {
 				t.win = win
 			}
@@ -265,6 +283,7 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 	m.now = 0
 	m.stop.Store(false)
 	m.res = Result{}
+	m.fills.reset()
 	m.ef = archEffect{}
 	m.exec = nil
 	m.noSpec = false
@@ -310,13 +329,11 @@ func (m *Machine) freeContext() *Thread {
 // through the RSE backing store (§2.1).
 func (m *Machine) startThread(c *Thread, pc int, parent *Thread) {
 	idx := c.idx
-	// The pending slice and OOO window keep their backing arrays across the
-	// context's lifetimes, so steady-state spawning allocates nothing.
-	pending := c.pending[:0]
+	// The OOO window keeps its backing arrays across the context's
+	// lifetimes, so steady-state spawning allocates nothing.
 	win := c.win
 	*c = Thread{idx: idx, active: true, spec: true, pc: pc, resumePC: -1}
 	m.liveSpec++
-	c.pending = pending
 	c.InLIB = parent.OutLIB
 	c.frontStallUntil = m.now + m.Cfg.SpawnStartup
 	if m.Cfg.Model == OOO {

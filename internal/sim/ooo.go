@@ -71,7 +71,7 @@ type window struct {
 	recs    []wrec
 	ready   []int64
 	next    []int32
-	done    []int64
+	done    eventHeap
 	mask    int64
 	headAbs int64
 	tailAbs int64
@@ -189,9 +189,9 @@ func (w *window) dispatch(d *decode.Decoded, lat int64, rsSize int) int32 {
 
 // complete records that the record in slot s issued with completion cycle
 // doneAt: its consumers fold doneAt into their ready cycles, and doneAt
-// joins the completion heap. Heap entries at or below now are popped first,
-// which keeps the heap no larger than the window: every entry left is a
-// record still in flight.
+// joins the completion heap. Heap entries at or below now are popped first
+// (eventHeap.push), which keeps the heap no larger than the window: every
+// entry left is a record still in flight.
 func (w *window) complete(s int32, doneAt, now int64) {
 	r := &w.recs[s]
 	r.issued = true
@@ -205,55 +205,7 @@ func (w *window) complete(s int32, doneAt, now int64) {
 			w.ready[cs] = c.readyAcc
 		}
 	}
-	for len(w.done) > 0 && w.done[0] <= now {
-		w.popDone()
-	}
-	// Sift up.
-	h := append(w.done, doneAt)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	w.done = h
-}
-
-// popDone removes the completion heap's minimum.
-func (w *window) popDone() {
-	h := w.done
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	w.done = h
-}
-
-// nextDone returns the earliest completion after now among issued records,
-// or notReady when none is outstanding.
-func (w *window) nextDone(now int64) int64 {
-	for len(w.done) > 0 && w.done[0] <= now {
-		w.popDone()
-	}
-	if len(w.done) == 0 {
-		return notReady
-	}
-	return w.done[0]
+	w.done.push(doneAt, now)
 }
 
 // runOOO is the 16-stage out-of-order model: per-thread 255-entry windows
@@ -371,7 +323,7 @@ func (m *Machine) runOOO() {
 			// Devirtualized default stats recorder (same effect as the
 			// interface call below, minus the dynamic dispatch), with the
 			// dominant case inlined as in runInOrder.
-			if issuedMain > 0 && len(main.pending) == 0 {
+			if issuedMain > 0 && m.fills.latest <= m.now {
 				m.res.Breakdown[CatExec]++
 			} else {
 				m.accountCycle(main, issuedMain, false, 0)
@@ -467,10 +419,10 @@ func (m *Machine) issueRec(t *Thread, w *window, s int32) {
 	case memLoad:
 		acc := m.Hier.Access(r.memID, r.memAddr, m.now, true)
 		doneAt = m.now + acc.Latency
-		if acc.Level != mem.L1 && m.cycle != nil {
-			// Only the cycle hook's accounting consumes (and compacts)
-			// pending fills; don't grow them unhooked.
-			t.pending = append(t.pending, pendingFill{readyAt: doneAt, level: acc.Level})
+		if acc.Level != mem.L1 && m.cycle != nil && !t.spec {
+			// Only the cycle hook's accounting of the main thread reads
+			// the fills.
+			m.fills.add(doneAt, acc.Level, m.now)
 		}
 	case memStore:
 		m.Hier.Access(r.memID, r.memAddr, m.now, true)

@@ -22,9 +22,18 @@ import (
 // exp.Suite and serve.Server both follow this rule, and the pool's counters
 // make violations visible: Puts only moves on clean completions.
 //
+// The pool is a plain free list owned by its user, not a sync.Pool. It
+// never holds more machines than were in use at once, and they die with
+// it: a sync.Pool stays registered with the runtime for two more GC cycles
+// after its owner is gone, keeping every idle paper-scale machine of a
+// finished exp.Suite alive into the next one, and its per-P private slots
+// make a Get on another P build a new machine while an idle one sits in
+// the pool. Both raised the peak heap of back-to-back cold suites.
+//
 // The zero Pool is ready to use. All methods are safe for concurrent use.
 type Pool struct {
-	p sync.Pool
+	mu   sync.Mutex
+	free []*Machine
 
 	gets atomic.Int64 // machines handed out
 	hits atomic.Int64 // ... of which were recycled rather than built
@@ -35,13 +44,20 @@ type Pool struct {
 // a newly built one otherwise.
 func (p *Pool) Get(cfg Config, dp *decode.Program) *Machine {
 	p.gets.Add(1)
-	if v := p.p.Get(); v != nil {
-		p.hits.Add(1)
-		m := v.(*Machine)
-		m.Reset(cfg, dp)
-		return m
+	p.mu.Lock()
+	var m *Machine
+	if n := len(p.free); n > 0 {
+		m = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 	}
-	return NewPredecoded(cfg, dp)
+	p.mu.Unlock()
+	if m == nil {
+		return NewPredecoded(cfg, dp)
+	}
+	p.hits.Add(1)
+	m.Reset(cfg, dp)
+	return m
 }
 
 // Put returns a machine to the pool. Call it only after a clean completion:
@@ -49,7 +65,9 @@ func (p *Pool) Get(cfg Config, dp *decode.Program) *Machine {
 // or panicked runs must simply be dropped.
 func (p *Pool) Put(m *Machine) {
 	p.puts.Add(1)
-	p.p.Put(m)
+	p.mu.Lock()
+	p.free = append(p.free, m)
+	p.mu.Unlock()
 }
 
 // PoolStats is a snapshot of a Pool's reuse counters.

@@ -140,7 +140,7 @@ func (c *schedCheck) checkWindow(m *Machine, t *Thread) error {
 	if w.wake != viewMin {
 		return fmt.Errorf("wake %d, view minimum %d", w.wake, viewMin)
 	}
-	if got := w.nextDone(now); got != wantDone {
+	if got := w.done.next(now); got != wantDone {
 		return fmt.Errorf("completion heap top %d, want %d", got, wantDone)
 	}
 	if len(w.done) > w.cap {
