@@ -89,14 +89,13 @@ perfbench-test:
 # workload: PAIRS interleaved untraced perfbench runs per side (alternating
 # which side runs first, pair i on seed SEED+i-1), failing on any incorrect
 # run, then per-pair end-to-end metrics, each side's median and quartiles,
-# and head's win count. BASE is built in a git worktree under
+# the |median difference| against base's IQR, and head's win count. BASE is built in a git worktree under
 # .bench_build/pairs/. Local only (not CI): it takes PAIRS x 2 runs.
 # Usage: make perf-pairs BASE=HEAD~1 WORKLOAD=fig2-paper PAIRS=10 SEED=1
-PAIRS ?= 10
-SEED ?= 1
-METRIC ?= cpu_s
+# (variables set on the make command line reach the script's environment;
+# the defaults live in the script).
 perf-pairs:
-	BASE="$(BASE)" WORKLOAD="$(WORKLOAD)" PAIRS="$(PAIRS)" SEED="$(SEED)" METRIC="$(METRIC)" bash scripts/perf-pairs.sh
+	bash scripts/perf-pairs.sh
 
 fmt:
 	@out="$$(gofmt -l .)"; \

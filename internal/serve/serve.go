@@ -142,6 +142,12 @@ type Server struct {
 	// tuner's repeated adapt+simulate rounds coalesce through.
 	tuners map[bool]*tune.Tuner
 
+	// pool keeps the machines of clean completions for the server's
+	// lifetime. Only compute draws from it, and only while holding a sem
+	// token, so it never holds more than Workers machines; they are not
+	// released when the server goes idle. Each tuner's suite pools its own
+	// machines the same way, up to the peak number of its concurrent
+	// simulations.
 	pool sim.Pool
 
 	requests atomic.Int64 // jobs accepted for processing

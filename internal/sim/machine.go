@@ -93,6 +93,11 @@ func (t *Thread) Speculative() bool { return t.spec }
 //   - the next fill completion after now, the event a fast-forward jump
 //     must not cross, is the top of an eventHeap of completion cycles (it
 //     holds only fills still in flight).
+//
+// The classification can change only at the per-level last times, so
+// min{last[L] > now} alone would bound a jump exactly; the heap stays
+// because it reproduces the established jump sequence, and with it the
+// FastForwards count that the perfbench references pin.
 type fillTracker struct {
 	last   [mem.NumLevels]int64
 	latest int64

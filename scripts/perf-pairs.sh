@@ -12,21 +12,20 @@
 # alike. Any run that prints correct:false or failed>0 fails the script.
 #
 # Prints each pair's end-to-end metrics, then per metric each side's median
-# and quartiles (nearest rank) and how many pairs head won (all are
-# lower-is-better). For METRIC (default cpu_s) it also prints whether the
-# medians differ by more than base's interquartile range. Run logs stay in
-# .bench_build/pairs/logs/; the worktree is removed on exit.
+# and quartiles (nearest rank), the median change, the |median difference|
+# against base's interquartile range, and how many pairs head won (all are
+# lower-is-better). Run logs stay in .bench_build/pairs/logs/; the worktree
+# is removed on exit.
 #
-# Optional: METRIC (default cpu_s), RUN_SECONDS (perfbench --seconds,
-# default 30). Local only: the host's noise is the thing being averaged out,
-# so this is not a CI step.
+# Optional: PAIRS (default 10), SEED (default 1), RUN_SECONDS (perfbench
+# --seconds, default 30). Local only: the host's noise is the thing being
+# averaged out, so this is not a CI step.
 set -euo pipefail
 
 base=${BASE:?set BASE to the revision to compare against}
 workload=${WORKLOAD:?set WORKLOAD to a workload of BENCHMARK.json}
 pairs=${PAIRS:-10}
 seed=${SEED:-1}
-metric=${METRIC:-cpu_s}
 run_seconds=${RUN_SECONDS:-30}
 # The end_to_end metrics of BENCHMARK.json.
 metrics=(wall_s cpu_s setup_s peak_rss_mib op_p50_ms)
@@ -101,7 +100,7 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 echo
-printf '%-13s %-30s %-30s %8s %s\n' metric "base median [q1, q3]" "head median [q1, q3]" change "head wins"
+printf '%-13s %-30s %-30s %8s %-22s %s\n' metric "base median [q1, q3]" "head median [q1, q3]" change "|median diff| vs IQR" "head wins"
 for m in "${metrics[@]}"; do
 	wins=0
 	for ((i = 1; i <= pairs; i++)); do
@@ -112,12 +111,7 @@ for m in "${metrics[@]}"; do
 	read -r bmed bq1 bq3 < <(for ((i = 1; i <= pairs; i++)); do value base "$i" "$m"; done | stats)
 	read -r hmed hq1 hq3 < <(for ((i = 1; i <= pairs; i++)); do value head "$i" "$m"; done | stats)
 	change=$(awk -v b="$bmed" -v h="$hmed" 'BEGIN { if (b == 0) print "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }')
-	printf '%-13s %-30s %-30s %8s %d/%d\n' "$m" "$bmed [$bq1, $bq3]" "$hmed [$hq1, $hq3]" "$change" "$wins" "$pairs"
-	if [[ $m == "$metric" ]]; then
-		claim=$(awk -v b="$bmed" -v h="$hmed" -v lo="$bq1" -v hi="$bq3" \
-			'BEGIN { d = b - h; if (d < 0) d = -d; printf "|median difference| %.6g %s base IQR %.6g", d, (d > hi - lo ? ">" : "<="), hi - lo }')
-		claim_line="$m: head won $wins/$pairs pairs; $claim"
-	fi
+	vs_iqr=$(awk -v b="$bmed" -v h="$hmed" -v lo="$bq1" -v hi="$bq3" \
+		'BEGIN { d = b - h; if (d < 0) d = -d; printf "%.4g %s %.4g", d, (d > hi - lo ? ">" : "<="), hi - lo }')
+	printf '%-13s %-30s %-30s %8s %-22s %d/%d\n' "$m" "$bmed [$bq1, $bq3]" "$hmed [$hq1, $hq3]" "$change" "$vs_iqr" "$wins" "$pairs"
 done
-echo
-echo "${claim_line:-perf-pairs: METRIC $metric is not an end-to-end metric}"
