@@ -9,13 +9,19 @@
 //
 //	sspserved -addr :8344 -workers 8 -queue 64
 //	sspserved -tune                      # also admit tune-mode jobs
+//	sspserved -cache-mib 512             # keep more results for reuse
 //
 // Endpoints:
 //
 //	POST /jobs     submit a job (JSON body; SSE stream with
 //	               "Accept: text/event-stream")
 //	GET  /healthz  liveness (503 while draining)
-//	GET  /statz    counters: requests, hit/miss, capacity, machine pool
+//	GET  /statz    counters: requests, hit/miss, capacity, memo bytes and
+//	               evictions, machine pool
+//
+// Results, and the programs and builds they are computed from, are memoized
+// under a byte budget (-cache-mib): the least recently used are evicted
+// first, and an evicted job is simply recomputed when asked again.
 //
 // Source jobs are vetted by the speculation-safety verifier before
 // admission: if the submitted IR carries slice regions that cannot be proved
@@ -53,6 +59,7 @@ type options struct {
 	Timeout    time.Duration
 	DrainGrace time.Duration
 	EnableTune bool
+	CacheMiB   int64
 
 	CPUProfile, MemProfile string
 }
@@ -65,6 +72,7 @@ func main() {
 	flag.DurationVar(&o.Timeout, "timeout", 120*time.Second, "default per-job deadline")
 	flag.DurationVar(&o.DrainGrace, "drain-grace", 30*time.Second, "how long to wait for in-flight jobs on shutdown")
 	flag.BoolVar(&o.EnableTune, "tune", false, "admit tune-mode jobs (closed-loop options search; many simulations per job)")
+	flag.Int64Var(&o.CacheMiB, "cache-mib", 0, "memo budget in MiB; least recently used results are evicted past it (0 = 128)")
 	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a host CPU profile here")
 	flag.StringVar(&o.MemProfile, "memprofile", "", "write a host heap profile here")
 	flag.Parse()
@@ -90,6 +98,7 @@ func run(parent context.Context, o options, ready chan<- string) error {
 		Queue:          o.Queue,
 		DefaultTimeout: o.Timeout,
 		EnableTune:     o.EnableTune,
+		CacheBytes:     o.CacheMiB << 20,
 	})
 	ln, err := net.Listen("tcp", o.Addr)
 	if err != nil {

@@ -57,7 +57,7 @@ func postJob(t *testing.T, base string, spec serve.JobSpec) (int, *serve.JobResp
 // healthz/statz, reject a tune job (tuning is off by default), then drain
 // cleanly on cancellation.
 func TestRunServesAndDrains(t *testing.T) {
-	base, cancel, done := startServed(t, options{Timeout: time.Minute, DrainGrace: 30 * time.Second})
+	base, cancel, done := startServed(t, options{Timeout: time.Minute, DrainGrace: 30 * time.Second, CacheMiB: 64})
 
 	code, jr := postJob(t, base, serve.JobSpec{Bench: "mst", Model: "in-order"})
 	if code != http.StatusOK || jr.Result == nil || jr.Result.Cycles <= 0 {
@@ -81,7 +81,7 @@ func TestRunServesAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Requests != 1 || st.Misses != 1 {
+	if st.Requests != 1 || st.Misses != 1 || st.CacheBudget != 64<<20 || st.CacheBytes <= 0 {
 		t.Errorf("statz after one job: %+v", st)
 	}
 

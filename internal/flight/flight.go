@@ -30,6 +30,11 @@ import (
 // failure, so later callers retry. Wrap with fmt.Errorf("%w: ...", ErrTransient).
 var ErrTransient = errors.New("transient failure")
 
+// Cacheable reports whether Do caches an outcome with this error: nil and
+// deterministic errors are cached; context errors and errors wrapping
+// ErrTransient reset the cell.
+func Cacheable(err error) bool { return !uncacheable(err) }
+
 // uncacheable reports whether an outcome must not be memoized.
 func uncacheable(err error) bool {
 	return err != nil && (errors.Is(err, context.Canceled) ||

@@ -69,17 +69,22 @@ type TuneSpec struct {
 }
 
 // job is a validated, canonicalized JobSpec: defaults applied, model names
-// normalized, options concretized. Everything in it except timeout feeds the
-// cache key.
+// normalized, options concretized, the source parsed. Its exported fields
+// feed the cache key, which normalize computes once.
 type job struct {
-	Bench   string
-	Source  string
+	Bench string
+	// Src is the content hash of a source job's canonical text (ir.Format
+	// of the parsed program), so sources that differ only in whitespace or
+	// comments are one job; "" for built-ins.
+	Src     string
 	Model   sim.Model
 	Variant string
 	Test    bool // test scale (vs paper scale)
 	Options ssp.Options
 	Tune    *tuneJob // non-nil switches the job into tuning mode
 
+	prog    *ir.Program // the parsed source; nil for built-ins
+	key     string      // the content key (contentKey)
 	timeout time.Duration
 }
 
@@ -109,10 +114,12 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 		}
 		j.Bench = s.Bench
 	case s.Source != "":
-		if _, err := ir.Parse(s.Source); err != nil {
+		p, err := ir.Parse(s.Source)
+		if err != nil {
 			return j, fmt.Errorf("source: %w", err)
 		}
-		j.Source = s.Source
+		sum := sha256.Sum256([]byte(ir.Format(p)))
+		j.Src, j.prog = hex.EncodeToString(sum[:]), p
 	default:
 		return j, fmt.Errorf("specify bench or source")
 	}
@@ -189,16 +196,19 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 	if s.TimeoutMS > 0 {
 		j.timeout = time.Duration(s.TimeoutMS) * time.Millisecond
 	}
+	j.key = j.contentKey()
 	return j, nil
 }
 
-// key is the job's content address: the hex SHA-256 of its canonical form.
-// Identical work — same program, same scale, same model, same treatment,
-// same options — hashes identically no matter how the client phrased the
-// request, so duplicates coalesce and repeats hit the cache.
-func (j job) key() string {
+// contentKey is the job's content address: the hex SHA-256 of its canonical
+// form. Identical work — same program, same scale, same model, same
+// treatment, same options — hashes identically no matter how the client
+// phrased the request, so duplicates coalesce and repeats hit the cache.
+func (j job) contentKey() string {
 	canon := struct {
-		Bench   string
+		Bench string
+		// Source carries Src under its wire name, so built-in keys
+		// ("Source":"") stay stable.
 		Source  string
 		Model   string
 		Variant string
@@ -207,7 +217,7 @@ func (j job) key() string {
 		// Tune is omitted when nil so every pre-existing (non-tune) job
 		// keeps the key it had before tuning mode existed.
 		Tune *tuneJob `json:",omitempty"`
-	}{j.Bench, j.Source, j.Model.String(), j.Variant, j.Test, j.Options, j.Tune}
+	}{j.Bench, j.Src, j.Model.String(), j.Variant, j.Test, j.Options, j.Tune}
 	data, err := json.Marshal(canon)
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail.
@@ -217,13 +227,14 @@ func (j job) key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// progKey identifies a built+profiled program: which program, at which scale.
-// Variants and options are absent — every treatment of a program shares one
-// build and one profiling run.
+// progKey identifies a built+profiled program: which program (a built-in's
+// name or a source's content hash), at which scale. Variants and options are
+// absent — every treatment of a program shares one build and one profiling
+// run.
 type progKey struct {
-	Bench  string
-	Source string
-	Test   bool
+	Bench string
+	Src   string
+	Test  bool
 }
 
 // buildKey identifies one adapted, linked, predecoded binary. Model is

@@ -3,7 +3,8 @@
 // source program, a machine model, a treatment, tool options), runs the same
 // profile → adapt → simulate pipeline the experiment suite runs, and
 // memoizes results behind content-addressed singleflight cells so identical
-// jobs — concurrent or repeated — cost one simulation.
+// jobs — concurrent or repeated — cost one simulation. The memo is bounded:
+// completed cells sit on one LRU list under a byte budget (Config.CacheBytes).
 //
 // The server shares its building blocks with internal/exp rather than
 // wrapping it: flight.Cell for coalescing and memoization, sim.Pool for
@@ -66,6 +67,10 @@ type Config struct {
 	// searches that cost many simulations each. Off by default; without
 	// it tune jobs are rejected with 403.
 	EnableTune bool
+	// CacheBytes is the memo's budget: the estimated bytes of completed
+	// cells (programs, builds, results, tune results) kept for reuse,
+	// least recently used evicted first. 0 means 128 MiB.
+	CacheBytes int64
 }
 
 func (c Config) withDefaults() Config {
@@ -80,6 +85,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
+	}
+	if c.CacheBytes <= 0 {
+		c.CacheBytes = 128 << 20
 	}
 	return c
 }
@@ -129,17 +137,17 @@ type Server struct {
 	admitMu sync.Mutex
 	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	progs  map[progKey]*flight.Cell[*progSet]
-	builds map[buildKey]*flight.Cell[*build]
-	runs   map[string]*runCell
-	// tunes memoizes tune-mode jobs by the same content key scheme; the
-	// key covers the tune parameters, so searches with different rounds,
-	// epsilon, or grid never share a cell.
-	tunes map[string]*flight.Cell[*tune.Result]
+	// memo holds every cell: programs (progKey), builds (buildKey), job
+	// results (runKey) and tune searches (tuneKey; the key covers the tune
+	// parameters, so searches with different rounds, epsilon, or grid
+	// never share a cell).
+	memo *memo
+
+	mu sync.Mutex
 	// tuners holds one lazily-built closed-loop tuner per scale (keyed by
 	// "is test scale"). Each owns its own exp.Suite, whose caches the
-	// tuner's repeated adapt+simulate rounds coalesce through.
+	// tuner's repeated adapt+simulate rounds coalesce through; they are
+	// not counted against the memo's budget.
 	tuners map[bool]*tune.Tuner
 
 	// pool keeps the machines of clean completions for the server's
@@ -163,12 +171,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg.withDefaults(),
 		start:  time.Now(),
-		progs:  make(map[progKey]*flight.Cell[*progSet]),
-		builds: make(map[buildKey]*flight.Cell[*build]),
-		runs:   make(map[string]*runCell),
-		tunes:  make(map[string]*flight.Cell[*tune.Result]),
 		tuners: make(map[bool]*tune.Tuner),
 	}
+	s.memo = newMemo(s.cfg.CacheBytes)
 	s.sem = make(chan struct{}, s.cfg.Workers)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /jobs", s.handleJob)
@@ -208,37 +213,45 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // Stats is the /statz payload.
 type Stats struct {
-	UptimeSec float64       `json:"uptime_sec"`
-	Requests  int64         `json:"requests"`
-	Hits      int64         `json:"hits"`
-	Misses    int64         `json:"misses"`
-	Failures  int64         `json:"failures"`
-	Rejected  int64         `json:"rejected"`
-	Unsafe    int64         `json:"unsafe"`
-	InFlight  int64         `json:"in_flight"`
-	Draining  bool          `json:"draining"`
-	Cells     int           `json:"cells"`
-	Pool      sim.PoolStats `json:"pool"`
+	UptimeSec float64 `json:"uptime_sec"`
+	Requests  int64   `json:"requests"`
+	Hits      int64   `json:"hits"`
+	Misses    int64   `json:"misses"`
+	Failures  int64   `json:"failures"`
+	Rejected  int64   `json:"rejected"`
+	Unsafe    int64   `json:"unsafe"`
+	InFlight  int64   `json:"in_flight"`
+	Draining  bool    `json:"draining"`
+	// Cells counts the job-result and tune cells in the memo, computed or
+	// in flight.
+	Cells int `json:"cells"`
+	// CacheBytes is the estimated size of the memo's completed cells, at
+	// most CacheBudget; Evictions counts cells dropped to stay under it.
+	CacheBytes  int64         `json:"cache_bytes"`
+	CacheBudget int64         `json:"cache_budget"`
+	Evictions   int64         `json:"evictions"`
+	Pool        sim.PoolStats `json:"pool"`
 }
 
 // Snapshot returns the server's counters (the /statz payload, for in-process
 // callers like the load harness).
 func (s *Server) Snapshot() Stats {
-	s.mu.Lock()
-	cells := len(s.runs) + len(s.tunes)
-	s.mu.Unlock()
+	cells, bytes, evictions := s.memo.stats()
 	return Stats{
-		UptimeSec: time.Since(s.start).Seconds(),
-		Requests:  s.requests.Load(),
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Failures:  s.failures.Load(),
-		Rejected:  s.rejected.Load(),
-		Unsafe:    s.unsafe.Load(),
-		InFlight:  s.inflight.Load(),
-		Draining:  s.draining.Load(),
-		Cells:     cells,
-		Pool:      s.pool.Stats(),
+		UptimeSec:   time.Since(s.start).Seconds(),
+		Requests:    s.requests.Load(),
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		Failures:    s.failures.Load(),
+		Rejected:    s.rejected.Load(),
+		Unsafe:      s.unsafe.Load(),
+		InFlight:    s.inflight.Load(),
+		Draining:    s.draining.Load(),
+		Cells:       cells,
+		CacheBytes:  bytes,
+		CacheBudget: s.cfg.CacheBytes,
+		Evictions:   evictions,
+		Pool:        s.pool.Stats(),
 	}
 }
 
@@ -292,7 +305,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// with the machine-readable report, before the job can reach a cache
 	// cell or a worker (unsafe programs are never cached, so a later
 	// fixed submission is a fresh key and a fresh verification).
-	if j.Source != "" {
+	if j.prog != nil {
 		if rep, err := s.vetSource(j); err != nil {
 			s.unsafe.Add(1)
 			w.Header().Set("Content-Type", "application/json")
@@ -325,7 +338,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, JobResponse{
-			Key:    j.key(),
+			Key:    j.key,
 			Cached: hit,
 			WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 			Tune:   res,
@@ -333,19 +346,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rc := s.cellFor(j.key())
 	if wantsSSE(r) {
-		s.streamJob(ctx, w, j, rc)
+		s.streamJob(ctx, w, j)
 		return
 	}
 	start := time.Now()
-	res, hit, err := s.runJob(ctx, j, rc)
+	res, hit, err := s.runJob(ctx, j, s.runEntry(j))
 	if err != nil {
 		http.Error(w, err.Error(), statusOf(err))
 		return
 	}
 	writeJSON(w, JobResponse{
-		Key:    j.key(),
+		Key:    j.key,
 		Cached: hit,
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 		Result: res,
@@ -357,16 +369,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // simulations run on the tuner's experiment suite, whose worker pool is
 // sized like the server's.
 func (s *Server) runTune(ctx context.Context, j job) (res *tune.Result, hit bool, err error) {
-	s.mu.Lock()
-	c, ok := s.tunes[j.key()]
-	if !ok {
-		c = new(flight.Cell[*tune.Result])
-		s.tunes[j.key()] = c
-	}
-	s.mu.Unlock()
-	ran := false
-	res, err = c.Do(ctx, func(ctx context.Context) (*tune.Result, error) {
-		ran = true
+	res, ran, err := memoDo(ctx, s.memo, tuneKey(j.key), func(ctx context.Context) (*tune.Result, error) {
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
@@ -379,7 +382,7 @@ func (s *Server) runTune(ctx context.Context, j job) (res *tune.Result, hit bool
 		}
 		params := tune.Params{MaxRounds: j.Tune.Rounds, Epsilon: j.Tune.Epsilon}
 		return s.tunerFor(j.Test).Tune(ctx, j.Bench, j.Model, params, grid)
-	})
+	}, tuneBytes)
 	if ran {
 		s.misses.Add(1)
 	} else {
@@ -411,13 +414,17 @@ func (s *Server) tunerFor(test bool) *tune.Tuner {
 	return tn
 }
 
-// runJob resolves one admitted job through its memoization cell, reporting
-// whether this request was served without running a simulation (a cached
-// outcome or a coalesced ride on another request's run).
-func (s *Server) runJob(ctx context.Context, j job, rc *runCell) (res *JobResult, hit bool, err error) {
-	ran := false
-	res, err = rc.cell.Do(ctx, func(ctx context.Context) (*JobResult, error) {
-		ran = true
+// runEntry returns the memo entry of a job's result: a runCell.
+func (s *Server) runEntry(j job) *entry {
+	return s.memo.lookup(runKey(j.key), func() any { return new(runCell) })
+}
+
+// runJob resolves one admitted job through its memo entry (a runCell),
+// reporting whether this request was served without running a simulation (a
+// cached outcome or a coalesced ride on another request's run).
+func (s *Server) runJob(ctx context.Context, j job, e *entry) (res *JobResult, hit bool, err error) {
+	rc := e.cell.(*runCell)
+	res, ran, err := doCell(ctx, s.memo, e, &rc.cell, func(ctx context.Context) (*JobResult, error) {
 		// Only the actual runner needs a worker slot; waiting here is the
 		// admission queue.
 		select {
@@ -427,7 +434,7 @@ func (s *Server) runJob(ctx context.Context, j job, rc *runCell) (res *JobResult
 			return nil, ctx.Err()
 		}
 		return s.compute(ctx, j, &rc.cycles)
-	})
+	}, runBytes)
 	if ran {
 		s.misses.Add(1)
 	} else {
@@ -438,17 +445,6 @@ func (s *Server) runJob(ctx context.Context, j job, rc *runCell) (res *JobResult
 		return nil, false, err
 	}
 	return res, !ran, nil
-}
-
-func (s *Server) cellFor(key string) *runCell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rc, ok := s.runs[key]
-	if !ok {
-		rc = new(runCell)
-		s.runs[key] = rc
-	}
-	return rc
 }
 
 // machineConfig mirrors exp.Suite.machineConfig exactly — same defaults,
@@ -473,15 +469,7 @@ func machineConfig(model sim.Model, test bool) sim.Config {
 // progSetFor builds and profiles the job's program once per (program, scale);
 // every option set, variant, and model over it shares the result.
 func (s *Server) progSetFor(ctx context.Context, j job) (*progSet, error) {
-	key := progKey{j.Bench, j.Source, j.Test}
-	s.mu.Lock()
-	c, ok := s.progs[key]
-	if !ok {
-		c = new(flight.Cell[*progSet])
-		s.progs[key] = c
-	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*progSet, error) {
+	ps, _, err := memoDo(ctx, s.memo, progKey{j.Bench, j.Src, j.Test}, func(ctx context.Context) (*progSet, error) {
 		ps := new(progSet)
 		if j.Bench != "" {
 			spec, err := workloads.ByName(j.Bench)
@@ -495,11 +483,7 @@ func (s *Server) progSetFor(ctx context.Context, j job) (*progSet, error) {
 			ps.orig, ps.want = spec.Build(scale)
 			ps.check = true
 		} else {
-			p, err := ir.Parse(j.Source)
-			if err != nil {
-				return nil, err
-			}
-			ps.orig = p
+			ps.orig = j.prog
 		}
 		// Profile on the in-order model at the job's scale, like the
 		// experiment suite: one profiling run feeds every treatment.
@@ -509,24 +493,19 @@ func (s *Server) progSetFor(ctx context.Context, j job) (*progSet, error) {
 		}
 		ps.prof = prof
 		return ps, nil
-	})
+	}, progSetBytes)
+	return ps, err
 }
 
 // buildFor adapts (for ssp variants), links, and predecodes the job's binary
 // once per (program, scale, variant, options); both machine models share it.
 func (s *Server) buildFor(ctx context.Context, j job, ps *progSet) (*build, error) {
-	key := buildKey{progKey{j.Bench, j.Source, j.Test}, j.Variant, j.Options}
-	s.mu.Lock()
-	c, ok := s.builds[key]
-	if !ok {
-		c = new(flight.Cell[*build])
-		s.builds[key] = c
-	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*build, error) {
+	key := buildKey{progKey{j.Bench, j.Src, j.Test}, j.Variant, j.Options}
+	adapted := j.Variant == varSSP
+	b, _, err := memoDo(ctx, s.memo, key, func(ctx context.Context) (*build, error) {
 		p := ps.orig
 		b := new(build)
-		if j.Variant == varSSP {
+		if adapted {
 			label := j.Bench
 			if label == "" {
 				label = "source"
@@ -542,8 +521,10 @@ func (s *Server) buildFor(ctx context.Context, j job, ps *progSet) (*build, erro
 			return nil, err
 		}
 		b.dp = sim.Predecode(img)
+		sim.ThreadedProgram(b.dp) // every machine model runs threaded
 		return b, nil
-	})
+	}, func(b *build) int64 { return buildBytes(b, adapted) })
+	return b, err
 }
 
 // compute runs the full pipeline for one job: build+profile (cached),
@@ -605,12 +586,7 @@ type UnsafeResponse struct {
 // without slices pass trivially. The report is returned either way so the
 // 422 path can hand it to the client.
 func (s *Server) vetSource(j job) (*ssp.SafetyReport, error) {
-	p, err := ir.Parse(j.Source) // normalize already proved it parses
-	if err != nil {
-		return nil, err
-	}
-	rep := ssp.AnalyzeSafety(p, machineConfig(j.Model, j.Test).MaxSpecInstrs)
-	return rep, rep.Err()
+	return ssp.VerifySafety(j.prog, machineConfig(j.Model, j.Test).MaxSpecInstrs)
 }
 
 // statusOf maps a job error to its HTTP status.

@@ -383,14 +383,14 @@ func TestPartialOptions(t *testing.T) {
 	if part.Options != want {
 		t.Errorf("partial options did not overlay defaults:\ngot  %+v\nwant %+v", part.Options, want)
 	}
-	if part.key() == def.key() {
+	if part.key == def.key {
 		t.Error("changed option did not change the cache key")
 	}
 	_, empty, err := mk(`{}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.key() != def.key() {
+	if empty.key != def.key {
 		t.Error("empty options object keyed differently from absent options")
 	}
 	if _, _, err := mk(`{"ChianUnroll": 2}`); err == nil {
@@ -595,12 +595,12 @@ func TestTuneKeying(t *testing.T) {
 	}
 	plain := norm(JobSpec{Bench: "mcf", Model: "in-order"})
 	tuned := norm(JobSpec{Bench: "mcf", Model: "in-order", Tune: &TuneSpec{}})
-	if plain.key() == tuned.key() {
+	if plain.key == tuned.key {
 		t.Error("tune job shares a key with the plain job")
 	}
 	explicit := norm(JobSpec{Bench: "mcf", Model: "in-order",
 		Tune: &TuneSpec{Rounds: 3, Epsilon: 0.02, Grid: "full"}})
-	if tuned.key() != explicit.key() {
+	if tuned.key != explicit.key {
 		t.Error("defaulted and explicitly-default tune specs keyed differently")
 	}
 	for i, other := range []JobSpec{
@@ -611,7 +611,7 @@ func TestTuneKeying(t *testing.T) {
 		{Bench: "health", Model: "in-order", Tune: &TuneSpec{}},
 		{Bench: "mcf", Model: "in-order", Scale: "paper", Tune: &TuneSpec{}},
 	} {
-		if norm(other).key() == tuned.key() {
+		if norm(other).key == tuned.key {
 			t.Errorf("case %d: parameter change did not change the tune key", i)
 		}
 	}

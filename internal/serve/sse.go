@@ -66,14 +66,15 @@ type errorEvent struct {
 // actually running it), then exactly one terminal "result" or "error" event.
 // The HTTP status is 200 regardless — errors ride inside the stream, as SSE
 // requires once the header is out.
-func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job, rc *runCell) {
+func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job) {
 	sse, err := newSSE(w)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotImplemented)
 		return
 	}
-	sse.event("queued", map[string]string{"key": j.key()})
+	sse.event("queued", map[string]string{"key": j.key})
 
+	e := s.runEntry(j)
 	start := time.Now()
 	type outcome struct {
 		res *JobResult
@@ -82,10 +83,11 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job, rc
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, hit, err := s.runJob(ctx, j, rc)
+		res, hit, err := s.runJob(ctx, j, e)
 		done <- outcome{res, hit, err}
 	}()
 
+	rc := e.cell.(*runCell)
 	tick := time.NewTicker(progressInterval)
 	defer tick.Stop()
 	var last int64 = -1
@@ -97,7 +99,7 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job, rc
 				return
 			}
 			sse.event("result", JobResponse{
-				Key:    j.key(),
+				Key:    j.key,
 				Cached: o.hit,
 				WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 				Result: o.res,
@@ -114,7 +116,7 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job, rc
 			// exits, then report if anyone is still listening.
 			o := <-done
 			if o.err == nil {
-				sse.event("result", JobResponse{Key: j.key(), Cached: o.hit, Result: o.res})
+				sse.event("result", JobResponse{Key: j.key, Cached: o.hit, Result: o.res})
 			} else {
 				sse.event("error", errorEvent{Status: statusOf(o.err), Error: o.err.Error()})
 			}

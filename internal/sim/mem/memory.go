@@ -203,6 +203,12 @@ func NewSnapshot(img map[uint64]uint64) *Snapshot {
 	return s
 }
 
+// Pages returns the number of pre-paged frames the snapshot holds.
+func (s *Snapshot) Pages() int { return len(s.pages) }
+
+// PageBytes is the size of one simulated memory page.
+const PageBytes = 8 << pageBits
+
 // InstallSnapshot copies a pre-paged image into memory, one page copy per
 // resident page. The snapshot itself is never aliased and stays reusable.
 // Installing into a memory that already holds frames for the snapshot's

@@ -165,29 +165,78 @@ func (r *SafetyReport) Budgets() map[string]int64 {
 }
 
 // AnalyzeSafety runs the speculation-safety analysis over every slice region
-// in the program (tool-generated ssp_slice_* roots and hand-adapted
-// hand_slice blocks) against the given per-activation instruction ceiling,
-// returning every certificate and every violation. A program without slices
-// yields an empty, violation-free report.
+// in the program against the given per-activation instruction ceiling,
+// returning every certificate and every violation. The slice roots are the
+// targets of the program's spawn instructions, whatever their labels — the
+// code that can run speculatively is exactly the code some spawn starts —
+// plus any block carrying a slice-root name (tool-generated ssp_slice_N,
+// hand-adapted hand_slice) even if nothing spawns it, analyzed in layout
+// order. A program without slices yields an empty, violation-free report.
 func AnalyzeSafety(p *ir.Program, ceiling int64) *SafetyReport {
 	rep := &SafetyReport{Ceiling: ceiling}
+	roots := spawnRoots(p)
 	for _, f := range p.Funcs {
-		var roots []string
 		for _, b := range f.Blocks {
-			if rest, ok := strings.CutPrefix(b.Label, "ssp_slice_"); ok && !strings.Contains(rest, "_") {
-				roots = append(roots, b.Label)
+			if !roots[f][b.Label] && !namedRoot(b.Label) {
+				continue
 			}
-			if b.Label == "hand_slice" {
-				roots = append(roots, b.Label)
-			}
-		}
-		for _, root := range roots {
-			cert, viols := analyzeSlice(f, root, ceiling)
+			cert, viols := analyzeSlice(p, f, b.Label, ceiling, roots)
 			rep.Slices = append(rep.Slices, cert)
 			rep.Violations = append(rep.Violations, viols...)
 		}
 	}
 	return rep
+}
+
+// namedRoot reports whether a label names a slice root by the tool's and the
+// hand adaptations' conventions; continuation blocks such as
+// "ssp_slice_3_loop" belong to their root's region instead.
+func namedRoot(label string) bool {
+	rest, ok := strings.CutPrefix(label, "ssp_slice_")
+	return (ok && !strings.Contains(rest, "_")) || label == "hand_slice"
+}
+
+// sliceRoots is the set of spawn targets: function -> root block labels.
+type sliceRoots map[*ir.Func]map[string]bool
+
+// spawnRoots resolves the target of every spawn in the program to its root
+// block. Unresolvable targets (which ir.Validate and ir.Link reject) are
+// skipped: they start no thread.
+func spawnRoots(p *ir.Program) sliceRoots {
+	roots := sliceRoots{}
+	for _, f := range p.Funcs {
+		f.Instrs(func(_ *ir.Block, _ int, in *ir.Instr) {
+			if in.Op != ir.OpSpawn {
+				return
+			}
+			if g, label := resolveSpawn(p, f, in.Target); g != nil {
+				if roots[g] == nil {
+					roots[g] = map[string]bool{}
+				}
+				roots[g][label] = true
+			}
+		})
+	}
+	return roots
+}
+
+// resolveSpawn resolves a spawn target the way ir.Link does: a block of the
+// spawning function, then "func.label", then a function's entry block.
+func resolveSpawn(p *ir.Program, f *ir.Func, target string) (*ir.Func, string) {
+	if f.BlockByLabel(target) != nil {
+		return f, target
+	}
+	for i := 0; i < len(target); i++ {
+		if target[i] == '.' {
+			if g := p.FuncByName(target[:i]); g != nil && g.BlockByLabel(target[i+1:]) != nil {
+				return g, target[i+1:]
+			}
+		}
+	}
+	if g := p.FuncByName(target); g != nil && len(g.Blocks) > 0 {
+		return g, g.Blocks[0].Label
+	}
+	return nil, ""
 }
 
 // VerifySafety is AnalyzeSafety folded to a verdict: the report plus its
@@ -218,8 +267,10 @@ type chainSpawn struct {
 }
 
 // analyzeSlice proves (or refutes) one slice region's safety and computes
-// its budget certificate.
-func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []SafetyViolation) {
+// its budget certificate. roots is the program's spawn-target set: an
+// in-region spawn of any of them is a chain handoff (each root is verified
+// in its own right).
+func analyzeSlice(p *ir.Program, f *ir.Func, root string, ceiling int64, roots sliceRoots) (SliceSafety, []SafetyViolation) {
 	key := f.Name + "." + root
 	blocks := sliceRegionBlocks(f, root)
 	cert := SliceSafety{Slice: key, ChainBound: 0}
@@ -325,7 +376,7 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 				push(node{n.b, n.i + 1})
 			}
 		case ir.OpSpawn:
-			if rest, ok := strings.CutPrefix(in.Target, "ssp_slice_"); (ok && !strings.Contains(rest, "_")) || in.Target == "hand_slice" {
+			if g, label := resolveSpawn(p, f, in.Target); g != nil && roots[g][label] {
 				spawns = append(spawns, chainSpawn{bi: n.b, in: in})
 			} else {
 				bad(SafetyEscape, "%s: reachable spawn targets %q, which is not a slice root", b.Label, in.Target)

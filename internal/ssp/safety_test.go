@@ -189,6 +189,35 @@ func TestSafetyRejectsStuckLoopGuard(t *testing.T) {
 	}
 }
 
+// TestSafetyRootsFollowSpawns: the verifier finds slice regions by spawn
+// edges, not by label names. An unsafe adapted program whose slice labels are
+// renamed away from the tool's ssp_slice_ convention must still be analyzed
+// and rejected for the injected store.
+func TestSafetyRootsFollowSpawns(t *testing.T) {
+	_, enh, _, _ := adaptWorkload(t, "mcf", DefaultOptions())
+	bad, ok := InjectUnsafe(enh, SafetyStore)
+	if !ok {
+		t.Fatal("adapted mcf has no slice to corrupt")
+	}
+	p, err := ir.Parse(strings.ReplaceAll(ir.Format(bad), "ssp_slice_", "zz_"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := AnalyzeSafety(p, DefaultSafetyCeiling)
+	if len(rep.Slices) == 0 {
+		t.Fatal("renamed slices were not analyzed")
+	}
+	found := false
+	for _, v := range rep.Violations {
+		if v.Class == SafetyStore {
+			found = true
+		}
+	}
+	if !found || rep.Err() == nil {
+		t.Fatalf("renamed unsafe slice accepted; violations: %v", rep.Violations)
+	}
+}
+
 // TestSafetyAcceptsProgramsWithoutSlices: a plain program yields an empty,
 // violation-free report.
 func TestSafetyAcceptsProgramsWithoutSlices(t *testing.T) {

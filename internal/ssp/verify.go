@@ -30,6 +30,7 @@ import (
 // The code generator runs it after every adaptation; it is exported so
 // hand-adapted binaries (and tests) can be checked against the same rules.
 func VerifyAttachments(p *ir.Program) error {
+	roots := spawnRoots(p)
 	for _, f := range p.Funcs {
 		stubs := map[string]*ir.Block{}
 		slices := map[string]*ir.Block{}
@@ -37,12 +38,7 @@ func VerifyAttachments(p *ir.Program) error {
 			if strings.HasPrefix(b.Label, "ssp_stub_") || strings.HasPrefix(b.Label, "hand_stub") {
 				stubs[b.Label] = b
 			}
-			// Root slice blocks only: continuation blocks such as
-			// "ssp_slice_3_loop" belong to their root's region.
-			if rest, ok := strings.CutPrefix(b.Label, "ssp_slice_"); ok && !strings.Contains(rest, "_") {
-				slices[b.Label] = b
-			}
-			if b.Label == "hand_slice" {
+			if namedRoot(b.Label) {
 				slices[b.Label] = b
 			}
 		}
@@ -145,7 +141,7 @@ func VerifyAttachments(p *ir.Program) error {
 		// every path reaches kill within a bounded instruction budget — the
 		// all-paths strengthening of the old "any kill anywhere" scan.
 		for label := range slices {
-			if _, vs := analyzeSlice(f, label, DefaultSafetyCeiling); len(vs) > 0 {
+			if _, vs := analyzeSlice(p, f, label, DefaultSafetyCeiling, roots); len(vs) > 0 {
 				return fmt.Errorf("ssp: %s", vs[0])
 			}
 		}
